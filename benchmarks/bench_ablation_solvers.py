@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
+from repro.core.solvers import dispatch
 from repro.workloads import example_group
 from repro.workloads.paper import EXAMPLE_TOTAL_RATE, TABLE2_T_PRIME
 
@@ -28,7 +28,7 @@ def group():
 def test_solver_speed_on_example2(benchmark, group, method):
     """Time each backend on the Table 2 instance (priority discipline)."""
     result = benchmark(
-        optimize_load_distribution,
+        dispatch,
         group,
         EXAMPLE_TOTAL_RATE,
         "priority",
@@ -50,10 +50,10 @@ def test_closed_form_speed(benchmark):
     )
     lam = 0.5 * group.max_generic_rate
     result = benchmark(
-        optimize_load_distribution, group, lam, "fcfs", "closed-form"
+        dispatch, group, lam, "fcfs", "closed-form"
     )
     # Cross-check against the numeric solver once.
-    ref = optimize_load_distribution(group, lam, "fcfs", "kkt")
+    ref = dispatch(group, lam, "fcfs", "kkt")
     assert abs(result.mean_response_time - ref.mean_response_time) < 1e-9
 
 
@@ -67,7 +67,7 @@ def test_kkt_scales_to_large_groups(benchmark):
     )
     lam = 0.6 * group.max_generic_rate
     result = benchmark.pedantic(
-        optimize_load_distribution,
+        dispatch,
         args=(group, lam, "fcfs", "kkt"),
         rounds=3,
         iterations=1,

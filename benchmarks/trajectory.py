@@ -33,10 +33,10 @@ FULL_SIZES = (7, 50, 500)
 QUICK_SIZES = (7, 50)
 
 #: Backends timed cold at every size.
-COLD_BACKENDS = ("kkt", "vectorized", "newton")
+COLD_BACKENDS = ("kkt", "newton")
 
 #: Warm-startable backends timed on phi-warm-started re-solves.
-WARM_BACKENDS = ("vectorized", "newton")
+WARM_BACKENDS = ("newton",)
 
 #: Shard count of the sharded control-plane series.
 SHARDS = 4
@@ -47,7 +47,7 @@ PRUNING_KS = (2, 4, 8, 16)
 
 #: Repetitions per timing (the median is recorded).  The KKT backend is
 #: seconds per solve at n = 500, so it gets fewer rounds.
-_REPS = {"kkt": 3, "vectorized": 5, "newton": 5, "sharded": 5}
+_REPS = {"kkt": 3, "newton": 5, "sharded": 5}
 _REPS_LARGE_KKT = 1
 
 SCHEMA_VERSION = 2
@@ -166,12 +166,6 @@ def measure_trajectory(sizes=FULL_SIZES, quick: bool = False) -> dict:
         warm_latency["sharded"] = latency
         speedups[f"cold_kkt_over_newton@n={n}"] = (
             cold_latency["kkt"] / cold_latency["newton"]
-        )
-        speedups[f"cold_vectorized_over_newton@n={n}"] = (
-            cold_latency["vectorized"] / cold_latency["newton"]
-        )
-        speedups[f"warm_vectorized_over_newton@n={n}"] = (
-            warm_latency["vectorized"] / warm_latency["newton"]
         )
         speedups[f"cold_sharded_over_newton@n={n}"] = (
             cold_latency["sharded"] / cold_latency["newton"]

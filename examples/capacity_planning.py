@@ -16,7 +16,7 @@ Run with::
     python examples/capacity_planning.py
 """
 
-from repro import BladeServerGroup, optimize_load_distribution
+from repro import BladeServerGroup, solve
 from repro.analysis import (
     analyze_saturation,
     evaluate_blade_additions,
@@ -32,7 +32,7 @@ group = BladeServerGroup.with_special_fraction(SIZES, SPEEDS, fraction=0.3)
 
 # Operating point: 70% of the way to saturation.
 lam = 0.7 * group.max_generic_rate
-base = optimize_load_distribution(group, lam, "fcfs")
+base = solve(group, lam, discipline="fcfs")
 
 report = analyze_saturation(group)
 print("current fleet")

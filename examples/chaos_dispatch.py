@@ -61,7 +61,7 @@ config = RuntimeConfig(router="alias")
 schedule = FaultSchedule(
     [
         FaultSpec("solver-error", 500.0 * SCALE, 2_000.0 * SCALE,
-                  {"methods": ("kkt", "vectorized", "closed-form")}),
+                  {"methods": ("kkt", "newton", "closed-form")}),
         FaultSpec("estimator-noise", 500.0 * SCALE, 2_000.0 * SCALE,
                   {"sigma": 0.2}),
         FaultSpec("correlated-outage", 3_500.0 * SCALE, 4_200.0 * SCALE,

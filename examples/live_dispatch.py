@@ -37,7 +37,7 @@ import tempfile
 
 import numpy as np
 
-from repro import BladeServerGroup, RecoveryConfig, optimize_load_distribution
+from repro import BladeServerGroup, RecoveryConfig, solve
 from repro.analysis import Phase, phase_reports
 from repro.recovery import JOURNAL_NAME, list_checkpoints, read_journal
 from repro.runtime import RuntimeConfig, run_closed_loop
@@ -84,9 +84,9 @@ out = run_closed_loop(
 # Analytic targets: what the paper's solver picks when handed each
 # regime's true rate and surviving topology.
 survivors = BladeServerGroup(group.servers[1:], rbar=group.rbar)
-t_design = optimize_load_distribution(group, LAM0, "fcfs")
-t_stepped = optimize_load_distribution(group, LAM1, "fcfs")
-t_degraded = optimize_load_distribution(survivors, LAM1, "fcfs")
+t_design = solve(group, LAM0, discipline="fcfs")
+t_stepped = solve(group, LAM1, discipline="fcfs")
+t_degraded = solve(survivors, LAM1, discipline="fcfs")
 
 print()
 print("controller decisions:")

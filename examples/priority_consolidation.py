@@ -18,7 +18,7 @@ Run with::
     python examples/priority_consolidation.py
 """
 
-from repro import BladeServerGroup, optimize_load_distribution
+from repro import BladeServerGroup, solve
 from repro.core.response import generic_waiting_time, special_waiting_time
 
 # Consolidated fleet: dedicated workloads occupy 40% of each chassis.
@@ -38,8 +38,8 @@ print(header)
 
 for frac in (0.2, 0.4, 0.6, 0.8, 0.9):
     lam = frac * group.max_generic_rate
-    fcfs = optimize_load_distribution(group, lam, "fcfs")
-    prio = optimize_load_distribution(group, lam, "priority")
+    fcfs = solve(group, lam, discipline="fcfs")
+    prio = solve(group, lam, discipline="priority")
 
     # Special-task waiting times, averaged over the special streams
     # (weights lambda''_i), under each discipline's own optimal split.

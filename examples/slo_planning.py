@@ -32,7 +32,7 @@ from repro.core.distributions import (
     GroupResponseTimeDistribution,
     ResponseTimeDistribution,
 )
-from repro import optimize_load_distribution
+from repro import solve
 from repro.workloads import example_group
 from repro.workloads.paper import EXAMPLE_TOTAL_RATE
 
@@ -40,7 +40,7 @@ group = example_group()
 
 
 def solve_and_distribution(lam):
-    res = optimize_load_distribution(group, lam, "fcfs")
+    res = solve(group, lam, discipline="fcfs")
     return res, GroupResponseTimeDistribution.from_distribution(group, res)
 
 

@@ -56,7 +56,6 @@ ITER_CEILING = 1.5
 #: Absolute acceptance floors from the ISSUE, asserted in full mode.
 ABSOLUTE_FLOORS = {
     "cold_kkt_over_newton@n=500": 10.0,
-    "warm_vectorized_over_newton@n=500": 5.0,
 }
 
 #: Acceptance ceiling on the sharded solve's optimality gap vs the flat

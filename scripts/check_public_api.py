@@ -41,7 +41,6 @@ SIGNATURE_NAMES = (
     "register_router",
     "random_fault_schedule",
     "restore_runtime",
-    "optimize_load_distribution",
 )
 
 

@@ -21,7 +21,7 @@ Quickstart
 
 :func:`solve` is the single public entry point for the paper's
 optimization; pick the backend with ``method=`` (``"auto"``,
-``"paper"``, ``"vectorized"``, ...) and the queueing discipline with
+``"paper"``, ``"newton"``, ...) and the queueing discipline with
 ``discipline=`` (``"fcfs"`` or ``"priority"``).  To watch what a solve
 — or the whole online runtime — is doing, switch on observability:
 
@@ -83,7 +83,6 @@ from .core import (
     SaturationError,
     SimulationError,
     available_methods,
-    optimize_load_distribution,
 )
 from .core.exceptions import RecoveryError
 from .core.solvers import register_method, registered_methods
@@ -173,7 +172,5 @@ __all__ = [
     "ConvergenceError",
     "SimulationError",
     "RecoveryError",
-    # Deprecated (kept working; prefer `solve`).
-    "optimize_load_distribution",
     "__version__",
 ]

@@ -50,7 +50,7 @@ class SolveResult(LoadDistributionResult):
     ----------
     backend:
         The registry name of the backend that actually ran (``"auto"``
-        and aliases resolved — e.g. ``"kkt"``, ``"vectorized"``).
+        and aliases resolved — e.g. ``"kkt"``, ``"newton"``).
     elapsed_seconds:
         Wall-clock duration of the backend call.
     """
@@ -114,7 +114,7 @@ def solve(
     method:
         ``"auto"`` (default), a registered backend name
         (``"bisection"``, ``"kkt"``, ``"slsqp"``, ``"closed-form"``,
-        ``"vectorized"``), or the alias ``"paper"`` for the published
+        ``"newton"``), or the alias ``"paper"`` for the published
         nested bisection.
     rbar:
         Shared mean task size, used only when ``servers`` is a plain

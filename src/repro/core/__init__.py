@@ -5,9 +5,9 @@ Public surface:
 * :class:`~repro.core.mmm.MMmQueue` — steady-state M/M/m metrics.
 * :class:`~repro.core.server.BladeServer`,
   :class:`~repro.core.server.BladeServerGroup` — the domain model.
-* :func:`~repro.core.solvers.optimize_load_distribution` — the solver
-  façade (paper bisection / KKT / SLSQP / closed forms / batched
-  vectorized bisection).
+* :func:`~repro.core.solvers.dispatch` — the solver registry funnel
+  (paper bisection / KKT / SLSQP / closed forms / damped Newton); the
+  public entry point is :func:`repro.solve`.
 * :class:`~repro.core.response.Discipline` — FCFS vs. priority.
 * :class:`~repro.core.result.LoadDistributionResult` — solver output.
 """
@@ -61,14 +61,8 @@ from .response import (
 )
 from .result import LoadDistributionResult
 from .server import BladeServer, BladeServerGroup
-from .solvers import available_methods, optimize_load_distribution
-from .vectorized import (
-    find_lambda_batched,
-    marginal_cost_vec,
-    p_zero_vec,
-    solve_vectorized,
-    waiting_factor_vec,
-)
+from .newton import p_zero_vec
+from .solvers import available_methods
 
 __all__ = [
     "AdmissionResult",
@@ -103,18 +97,15 @@ __all__ = [
     "d_generic_response_time_drho",
     "erlang_b",
     "erlang_c",
-    "find_lambda_batched",
     "find_lambda_i",
     "generic_response_time",
     "generic_response_time_rho",
     "generic_waiting_time",
     "gradient",
     "marginal_cost",
-    "marginal_cost_vec",
     "mmm_mean_queue_length",
     "mmm_response_time",
     "objective",
-    "optimize_load_distribution",
     "p_k",
     "p_zero",
     "p_zero_vec",
@@ -125,8 +116,6 @@ __all__ = [
     "solve_closed_form_priority",
     "solve_kkt",
     "solve_nlp",
-    "solve_vectorized",
     "special_waiting_time",
     "waiting_factor",
-    "waiting_factor_vec",
 ]

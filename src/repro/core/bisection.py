@@ -270,7 +270,7 @@ def calculate_t_prime(
         beyond the paper): the bracket grows multiplicatively from the
         hint instead of doubling from the seed.  Load sweeps pass the
         previous point's converged ``phi`` here (see
-        :func:`repro.workloads.sweeps.solve_sweep`).
+        :func:`repro.solve_sweep`).
 
     Raises
     ------

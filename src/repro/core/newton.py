@@ -1,8 +1,8 @@
 """Damped-Newton dual-ascent solver backend.
 
 Every earlier backend reaches the paper's water-filling optimum by
-derivative-free root-finding: nested bisection (`core/bisection.py`,
-`core/vectorized.py`) or Brent's method (`core/kkt.py`).  Yet the
+derivative-free root-finding: nested bisection (`core/bisection.py`)
+or Brent's method (`core/kkt.py`).  Yet the
 optimum is a KKT point of a smooth convex program whose marginals are
 fully analytic (`core/objective.py`), so both root-finding levels admit
 second-order steps:
@@ -21,11 +21,13 @@ Inner problem (per server, at multiplier ``phi``)
     with the second derivative from
     :func:`repro.core.response.d2_generic_response_time_drho2`.  All
     ``n`` inner Newton iterates advance together as arrays (one batched
-    kernel evaluation per sweep, reusing the `core/vectorized.py`
-    machinery), each safeguarded by a per-server bracket: a step
-    leaving its bracket falls back to the bracket midpoint, so progress
-    is never worse than bisection while quadratic convergence holds
-    near the root.
+    kernel evaluation per sweep; the kernels transcribe
+    :mod:`repro.core.erlang` and :mod:`repro.core.response` with the
+    same scaled recurrences and log-space tails, so no factorials and
+    no ``rho**m`` underflow), each safeguarded by a per-server bracket:
+    a step leaving its bracket falls back to the bracket midpoint, so
+    progress is never worse than bisection while quadratic convergence
+    holds near the root.
 
 Outer problem (the dual multiplier)
     ``F(phi) = sum_i lambda'_i(phi)`` is continuous and non-decreasing;
@@ -50,29 +52,169 @@ component-wise (the same repair the KKT backend applies).
 
 Registered as ``method="newton"`` (warm-startable); the measured
 speedups over the other backends are committed in
-``BENCH_solver_scaling.json`` at the repo root.
+``BENCH_solver_scaling.json`` at the repo root.  With observability
+on, each outer iteration is a ``solve.outer`` span under the
+dispatcher's ``solve`` span, and each inner solve records its batched
+sweep count in the ``repro_inner_sweeps`` histogram.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
+from ..obs import get_obs
 from .bisection import DEFAULT_TOL, STABILITY_MARGIN, settle_residual
-from .exceptions import ConvergenceError, ParameterError
+from .exceptions import ConvergenceError, ParameterError, SaturationError
 from .response import Discipline
 from .result import LoadDistributionResult
 from .server import BladeServerGroup
-from .vectorized import (
-    _d_response_drho_vec,
-    _dp_zero_drho_vec,
-    _waiting_factor_from_p0,
-    p_zero_vec,
-)
 
-__all__ = ["solve_newton", "marginal_cost_and_slope_vec"]
+__all__ = ["solve_newton", "marginal_cost_and_slope_vec", "p_zero_vec"]
+
+#: Rescale threshold of the partial-sum recurrence (same as erlang.py).
+_RESCALE_AT = 1e290
+
+
+def _as_server_arrays(
+    ms: Sequence[int], rhos: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate and coerce parallel (m, rho) arrays."""
+    ms = np.asarray(ms, dtype=np.int64)
+    rhos = np.asarray(rhos, dtype=float)
+    if ms.ndim != 1 or ms.shape != rhos.shape:
+        raise ParameterError(
+            f"ms and rhos must be equal-length 1-D arrays, got shapes "
+            f"{ms.shape} and {rhos.shape}"
+        )
+    if ms.size == 0:
+        raise ParameterError("need at least one server")
+    if np.any(ms < 1):
+        raise ParameterError(f"server sizes must be >= 1, got {ms}")
+    if np.any(~np.isfinite(rhos)) or np.any(rhos < 0.0):
+        raise ParameterError(f"utilizations must be finite and >= 0, got {rhos}")
+    if np.any(rhos >= 1.0):
+        worst = float(rhos.max())
+        raise SaturationError(
+            f"M/M/m steady state requires rho < 1, got {worst}", rho=worst
+        )
+    return ms, rhos
+
+
+def p_zero_vec(ms: Sequence[int], rhos: Sequence[float]) -> np.ndarray:
+    """Empty-system probabilities ``p_{i,0}`` for all servers at once.
+
+    Vectorized transcription of :func:`repro.core.erlang.p_zero`: the
+    scaled term recurrence ``t_k = t_{k-1} a_i / k`` runs over a shared
+    ``k`` axis with per-server masks (server ``i`` stops growing at
+    ``k = m_i - 1``), and per-server rescale events fold into a
+    log-scale accumulator, so the kernel neither overflows nor loses
+    precision for thousands of blades per server.
+    """
+    ms, rhos = _as_server_arrays(ms, rhos)
+    a = ms * rhos
+    term = np.ones_like(rhos)
+    total = np.ones_like(rhos)
+    log_scale = np.zeros_like(rhos)
+    for k in range(1, int(ms.max())):
+        growing = ms > k
+        np.multiply(term, a / k, out=term, where=growing)
+        total[growing] += term[growing]
+        big = total > _RESCALE_AT
+        if big.any():
+            scale = total[big]
+            term[big] /= scale
+            total[big] = 1.0
+            log_scale[big] += np.log(scale)
+    # Tail term a^m/m! / (1 - rho): one more recurrence step from
+    # a^{m-1}/(m-1)! covers every m >= 1.
+    term_m = term * a / ms
+    total = total + term_m / (1.0 - rhos)
+    return np.exp(-log_scale) / total
+
+
+def _waiting_factor_from_p0(
+    ms: np.ndarray, rhos: np.ndarray, p0: np.ndarray
+) -> np.ndarray:
+    """``p_0 m^{m-1}/m! rho^m/(1-rho)^2`` given precomputed ``p_0``."""
+    out = np.zeros_like(rhos)
+    pos = rhos > 0.0
+    if pos.any():
+        m = ms[pos].astype(float)
+        r = rhos[pos]
+        log_shape = (m - 1.0) * np.log(m) - gammaln(m + 1.0) + m * np.log(r)
+        out[pos] = p0[pos] * np.exp(log_shape) / (1.0 - r) ** 2
+    return out
+
+
+def _dp_zero_drho_vec(
+    ms: np.ndarray, rhos: np.ndarray, p0: np.ndarray
+) -> np.ndarray:
+    """Batched :func:`repro.core.erlang.dp_zero_drho` (given ``p_0``).
+
+    Mirrors the scalar scaled term recurrence
+    ``u_{k+1} = u_k a / k`` for the head sum and the log-space tail.
+    """
+    a = ms * rhos
+    mf = ms.astype(float)
+    # Head sum: sum_{k=1}^{m-1} m^k rho^{k-1}/(k-1)!; k = 1 term is m
+    # (only present for m >= 2).
+    s = np.where(ms >= 2, mf, 0.0)
+    u = mf.copy()
+    for k in range(2, int(ms.max())):
+        growing = ms > k
+        np.multiply(u, a / (k - 1), out=u, where=growing)
+        s[growing] += u[growing]
+    # Tail: m^m/m! * rho^{m-1} (m - (m-1) rho) / (1-rho)^2, in log space.
+    tail = np.zeros_like(rhos)
+    pos = rhos > 0.0
+    if pos.any():
+        m = mf[pos]
+        r = rhos[pos]
+        log_tail = m * np.log(m) - gammaln(m + 1.0) + (m - 1.0) * np.log(r)
+        tail[pos] = np.exp(log_tail) * (m - (m - 1.0) * r) / (1.0 - r) ** 2
+    zero = ~pos
+    if zero.any():
+        tail[zero] = np.where(ms[zero] == 1, 1.0, 0.0)
+    # m = 1 closed form: p0 = 1 - rho has no head sum and tail 1/(1-rho)^2.
+    m1 = ms == 1
+    if m1.any():
+        s[m1] = 0.0
+        tail[m1] = 1.0 / (1.0 - rhos[m1]) ** 2
+    return -p0 * p0 * (s + tail)
+
+
+def _d_response_drho_vec(
+    ms: np.ndarray,
+    xbars: np.ndarray,
+    rhos: np.ndarray,
+    rho_specials: np.ndarray,
+    disc: Discipline,
+    p0: np.ndarray,
+) -> np.ndarray:
+    """Batched :func:`repro.core.response.d_generic_response_time_drho`."""
+    out = np.zeros_like(rhos)
+    pos = rhos > 0.0
+    if pos.any():
+        mi = ms[pos]
+        m = mi.astype(float)
+        r = rhos[pos]
+        c = np.exp((m - 1.0) * np.log(m) - gammaln(m + 1.0))
+        dp0 = _dp_zero_drho_vec(mi, r, p0[pos])
+        term1 = dp0 * r**mi / (1.0 - r) ** 2
+        term2 = p0[pos] * r ** (mi - 1) * (m - (m - 2.0) * r) / (1.0 - r) ** 3
+        out[pos] = xbars[pos] * c * (term1 + term2)
+        if disc is Discipline.PRIORITY:
+            out[pos] /= 1.0 - rho_specials[pos]
+    zero = ~pos
+    if zero.any():
+        # rho = 0 limit: slope xbar for m = 1, zero otherwise.
+        out[zero] = np.where(ms[zero] == 1, xbars[zero], 0.0)
+    return out
+
 
 #: Inner Newton sweeps per outer iteration before declaring failure.
 #: Safeguarded steps halve a bracket at worst, so ~60 sweeps resolve
@@ -185,12 +327,11 @@ def marginal_cost_and_slope_vec(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched marginal costs ``g_i`` and their slopes ``g_i'``.
 
-    One shared :func:`~repro.core.vectorized.p_zero_vec` evaluation
-    feeds the response time, both response-time derivatives, and hence
-    both outputs:
+    One shared :func:`p_zero_vec` evaluation feeds the response time,
+    both response-time derivatives, and hence both outputs:
 
-    * ``g_i = (T'_i + rho'_i dT'_i/drho) / lambda'`` — identical to
-      :func:`~repro.core.vectorized.marginal_cost_vec`;
+    * ``g_i = (T'_i + rho'_i dT'_i/drho) / lambda'`` — the batched
+      :func:`repro.core.objective.marginal_cost`;
     * ``g_i' = (xbar_i/m_i) (2 dT'_i/drho + rho'_i d2T'_i/drho2)
       / lambda'`` — strictly positive on the stability region (``T'``
       is increasing and convex in ``rho``), which is what makes both
@@ -332,6 +473,18 @@ def solve_newton(
 
     budget_tol = tol * max(1.0, total_rate)
     inner_sweeps = 0
+    o = get_obs()
+    sweep_hist = (
+        o.registry.histogram(
+            "repro_inner_sweeps",
+            "Batched kernel sweeps per inner solve (all servers at once)",
+            lo=1.0,
+            hi=1024.0,
+            buckets=10,
+        )
+        if o.enabled
+        else None
+    )
     prev_rates = total_rate * np.divide(
         caps, caps.sum(), out=np.zeros(n), where=caps.sum() > 0.0
     )
@@ -354,7 +507,7 @@ def solve_newton(
         rates = np.where(pinned, hard_caps, 0.0)
         if free.any():
             # Pad carried-over bounds by tol (the accuracy of the rates
-            # they came from), exactly as find_lambda_batched does.
+            # they came from).
             lb = np.clip(np.where(free, lo - tol, 0.0), 0.0, hard_caps)
             ub = np.where(free, np.minimum(hi + tol, hard_caps), 0.0)
             lb = np.minimum(lb, ub)
@@ -363,6 +516,8 @@ def solve_newton(
                 ms, xbars, specials, total_rate, phi, disc, tol, x0, lb, ub
             )
             inner_sweeps += sweeps
+            if sweep_hist is not None:
+                sweep_hist.observe(max(sweeps, 1))
             rates = np.where(free, roots, rates)
             with np.errstate(divide="ignore"):
                 fprime = float(np.where(free, 1.0 / dg, 0.0).sum())
@@ -417,7 +572,17 @@ def solve_newton(
     converged = False
     for _ in range(_MAX_OUTER):
         iterations += 1
-        rates, fprime, _ = rates_at(phi, r_lo, r_hi)
+        if o.enabled:
+            with o.tracer.span(
+                "solve.outer", iter=iterations, phi=phi, phi_lo=phi_lo, phi_hi=phi_hi
+            ) as sp:
+                before = inner_sweeps
+                rates, fprime, _ = rates_at(phi, r_lo, r_hi)
+                sp.note(
+                    inner_sweeps=inner_sweeps - before, sum_rates=float(rates.sum())
+                )
+        else:
+            rates, fprime, _ = rates_at(phi, r_lo, r_hi)
         resid = float(rates.sum()) - total_rate
         if abs(resid) <= budget_tol:
             converged = True

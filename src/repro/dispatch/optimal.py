@@ -19,8 +19,7 @@ class OptimalPolicy(LoadDistributionPolicy):
     Parameters
     ----------
     method:
-        Solver backend passed to
-        :func:`~repro.core.solvers.optimize_load_distribution`
+        Solver backend passed to :func:`~repro.core.solvers.dispatch`
         (default ``"auto"``).
     """
 

@@ -36,7 +36,7 @@ Targeted injection::
 
     schedule = FaultSchedule(
         [FaultSpec("solver-error", 500.0, 900.0,
-                   {"methods": ("kkt", "vectorized")})],
+                   {"methods": ("kkt", "newton")})],
         seed=7,
     )
     out = run_closed_loop(group, trace, RuntimeConfig(router="alias"),

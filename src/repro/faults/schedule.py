@@ -400,12 +400,12 @@ def random_fault_schedule(
             # bisection rung); the other half break every backend
             # (exercising the proportional rung).
             if rng.random() < 0.5:
-                params["methods"] = ("kkt", "vectorized", "closed-form")
+                params["methods"] = ("kkt", "newton", "closed-form")
             params["p"] = float(rng.uniform(0.6, 1.0))
         elif kind == "solver-latency":
             params["latency"] = float(rng.uniform(0.5, 5.0))
             if rng.random() < 0.5:
-                params["methods"] = ("kkt", "vectorized", "closed-form")
+                params["methods"] = ("kkt", "newton", "closed-form")
         elif kind == "estimator-noise":
             params["sigma"] = float(rng.uniform(0.05, 0.4))
         elif kind == "estimator-bias":

@@ -76,8 +76,6 @@ from .policies import (
 from .router import (
     AliasTableRouter,
     SmoothWeightedRoundRobinRouter,
-    WeightedRouter,
-    make_router,
 )
 
 __all__ = [
@@ -108,10 +106,8 @@ __all__ = [
     "ShedTracker",
     "SlidingWindowRateEstimator",
     "SmoothWeightedRoundRobinRouter",
-    "WeightedRouter",
     "available_routers",
     "build_router",
-    "make_router",
     "register_router",
     "registered_routers",
     "router_spec",

@@ -66,7 +66,7 @@ class RuntimeConfig(ConfigBase):
     ----------
     discipline, method:
         Forwarded to the solver (see
-        :func:`~repro.core.solvers.optimize_load_distribution`).
+        :func:`~repro.core.solvers.dispatch`).
     estimator:
         ``"ewma"`` (exponential kernel) or ``"window"`` (sliding count).
     time_constant:

@@ -30,9 +30,7 @@ The registry (:func:`register_router` / :func:`build_router`) mirrors
 the solver-method registry of :mod:`repro.core.solvers`: policies are
 addressable by name through :class:`RoutingConfig`, out-of-tree
 policies register themselves and become usable from
-``RuntimeConfig(routing=RoutingConfig(policy="name"))``, and the
-legacy :func:`repro.runtime.router.make_router` survives as a
-deprecation shim over the same lookup.
+``RuntimeConfig(routing=RoutingConfig(policy="name"))``.
 
 Queue-state contract
 --------------------
@@ -78,13 +76,11 @@ __all__ = [
 
 @runtime_checkable
 class RouterPolicy(Protocol):
-    """The widened routing protocol every policy implements.
+    """The routing protocol every policy implements.
 
-    Supersedes :class:`repro.runtime.router.WeightedRouter` (which
-    remains as its stateless subset): ``pick`` takes the live
-    per-server queue state, ``on_completion`` delivers completion
-    events, and the ``state_dict``/``load_state`` pair makes every
-    policy checkpointable (PR 5 recovery compatibility).
+    ``pick`` takes the live per-server queue state, ``on_completion``
+    delivers completion events, and the ``state_dict``/``load_state``
+    pair makes every policy checkpointable for crash recovery.
     """
 
     def pick(self, state: Sequence[int] | None = None) -> int:
@@ -451,7 +447,7 @@ class RouterSpec:
     ----------
     name:
         The name accepted by ``RoutingConfig(policy=name)`` (and the
-        legacy ``make_router``/``RuntimeConfig.router`` spellings).
+        legacy ``RuntimeConfig.router`` spelling).
     factory:
         ``factory(weights, rng, config) -> RouterPolicy`` building a
         fresh policy instance; ``config`` is the full
@@ -480,8 +476,7 @@ def register_router(
     """Register (or, with ``replace``, override) a routing policy.
 
     ``name`` becomes addressable via
-    ``RuntimeConfig(routing=RoutingConfig(policy=name))`` and the
-    legacy ``make_router`` shim.
+    ``RuntimeConfig(routing=RoutingConfig(policy=name))``.
     """
     key = name.lower()
     if key in _REGISTRY and not replace:
@@ -522,10 +517,8 @@ def build_router(
 ) -> RouterPolicy:
     """Build the policy named by ``config`` over ``weights``.
 
-    The non-deprecated construction funnel: the runtime, the checkpoint
-    codec, and the shard dispatchers all come through here, and the
-    legacy :func:`~repro.runtime.router.make_router` shim reduces to
-    this lookup.
+    The construction funnel: the runtime, the checkpoint codec, and
+    the shard dispatchers all come through here.
     """
     return router_spec(config.policy).factory(weights, rng, config)
 

@@ -23,46 +23,19 @@ starved servers); routers never pick a zero-weight server.
 State-aware policies (power-of-d, join-idle-queue) and the policy
 registry live in :mod:`repro.runtime.policies`; the two classes here
 are registered there under ``"swrr"``/``"wrr"`` and ``"alias"`` and
-implement the same widened :class:`~repro.runtime.policies.RouterPolicy`
-protocol (``pick`` accepts — and ignores — the live queue state).
+implement its :class:`~repro.runtime.policies.RouterPolicy` protocol
+(``pick`` accepts — and ignores — the live queue state).
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core.exceptions import ParameterError
 
-__all__ = [
-    "WeightedRouter",
-    "SmoothWeightedRoundRobinRouter",
-    "AliasTableRouter",
-    "make_router",
-]
-
-
-class WeightedRouter(Protocol):
-    """A routing backend driven by a (mutable) weight vector.
-
-    The stateless subset of :class:`repro.runtime.policies.RouterPolicy`;
-    kept for backward compatibility with pre-registry call sites.
-    """
-
-    def pick(self, state: Sequence[int] | None = None) -> int:
-        """Index of the server that receives the next task."""
-        ...
-
-    def set_weights(self, weights: Sequence[float]) -> None:
-        """Replace the weight vector (same length, sum > 0)."""
-        ...
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The current normalized weights."""
-        ...
+__all__ = ["SmoothWeightedRoundRobinRouter", "AliasTableRouter"]
 
 
 def _normalize(weights: Sequence[float], n_expected: int | None) -> np.ndarray:
@@ -207,26 +180,3 @@ class AliasTableRouter:
         self._weights = _normalize(state["weights"], None)
         self._build()
 
-
-def make_router(
-    backend: str, weights: Sequence[float], rng: np.random.Generator
-) -> WeightedRouter:
-    """Build a router backend by name.
-
-    .. deprecated::
-        Use :func:`repro.runtime.policies.build_router` with a
-        :class:`~repro.runtime.policies.RoutingConfig` instead.  This
-        shim reduces to the same registry lookup and constructs
-        bit-identical routers (same pick sequence for a fixed seed);
-        it raises :class:`~repro.core.exceptions.ParameterError` for
-        unregistered names exactly as before.
-    """
-    warnings.warn(
-        "make_router() is deprecated; use "
-        "repro.runtime.policies.build_router(RoutingConfig(policy=...), ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .policies import RoutingConfig, build_router
-
-    return build_router(RoutingConfig(policy=backend.lower()), weights, rng)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.bounds import bound_gap, lower_bound, upper_bound
 from repro.core.exceptions import InfeasibleError
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
+from repro.core.solvers import dispatch
 
 
 @st.composite
@@ -45,7 +45,7 @@ class TestSandwich:
     @settings(max_examples=50, deadline=None)
     def test_bounds_sandwich_optimum(self, inst):
         group, lam, disc = inst
-        t_opt = optimize_load_distribution(group, lam, disc).mean_response_time
+        t_opt = dispatch(group, lam, disc).mean_response_time
         lo = lower_bound(group, lam, disc)
         hi = upper_bound(group, lam, disc)
         assert lo <= t_opt * (1 + 1e-9), (lo, t_opt)
@@ -87,6 +87,6 @@ class TestSandwich:
         # the true value.
         g = BladeServerGroup.from_arrays([4], [1.0])
         lam = 2.0
-        t = optimize_load_distribution(g, lam).mean_response_time
+        t = dispatch(g, lam).mean_response_time
         assert lower_bound(g, lam) == pytest.approx(t, rel=1e-12)
         assert upper_bound(g, lam) == pytest.approx(t, rel=1e-12)

@@ -124,7 +124,7 @@ class TestEveryFallbackRungExercised:
 
     @pytest.fixture(scope="class")
     def crafted(self, group, rate):
-        primary_only = ("kkt", "vectorized", "closed-form")
+        primary_only = ("kkt", "newton", "closed-form")
 
         def factory(seed):
             if seed == 0:

@@ -15,8 +15,8 @@ import pytest
 
 from repro.core.exceptions import ClusterDownError, ConvergenceError
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
-from repro.faults import FaultPlan, FaultSchedule, FaultSpec
+from repro.core.solvers import AUTO_NEWTON_THRESHOLD, dispatch, resolve_method
+from repro.faults import FaultPlan, FaultSchedule, FaultSpec, random_fault_schedule
 from repro.runtime import (
     HealthTracker,
     LoadDistributionRuntime,
@@ -120,7 +120,7 @@ class TestSolverExceptionsAreStructuredOutcomes:
                         "solver-error",
                         0.0,
                         1e6,
-                        {"methods": ("kkt", "vectorized", "closed-form")},
+                        {"methods": ("kkt", "newton", "closed-form")},
                     )
                 ],
                 seed=0,
@@ -156,6 +156,39 @@ class TestSolverExceptionsAreStructuredOutcomes:
                 FaultSchedule([FaultSpec("solver-error", 0.0, 1e6)], seed=0),
                 supervise=False,
             )
+
+    def test_primary_only_scope_covers_newton_on_large_groups(self):
+        # The scope random_fault_schedule draws for "primary-only"
+        # solver faults must hit the backend "auto" picks from n = 16,
+        # or those draws never fire and the bisection rung goes untested.
+        scopes = {
+            spec.params["methods"]
+            for seed in range(40)
+            for spec in random_fault_schedule(3, horizon=1000.0, seed=seed)
+            if spec.kind == "solver-error" and "methods" in spec.params
+        }
+        (scope,) = scopes
+        n = AUTO_NEWTON_THRESHOLD
+        big = BladeServerGroup.from_arrays(
+            sizes=[2 + i % 4 for i in range(n)],
+            speeds=[1.0 + 0.05 * i for i in range(n)],
+            rbar=1.0,
+        )
+        assert resolve_method(big, "auto") == "newton"
+        runtime = LoadDistributionRuntime(
+            big,
+            0.5 * big.max_generic_rate,
+            RuntimeConfig(router="alias"),
+            fault_plan=FaultPlan(
+                FaultSchedule(
+                    [FaultSpec("solver-error", 0.0, 1e6, {"methods": scope})],
+                    seed=0,
+                )
+            ),
+        )
+        ev = runtime.resolve_log[0]
+        assert ev.source == "fallback:bisection"
+        assert ev.depth == 1
 
     def test_healthy_runtime_reports_primary_source(self, group):
         runtime = self._runtime(group, FaultSchedule([], seed=0))

@@ -97,10 +97,10 @@ class TestFastestFirst:
 
 class TestOptimalPolicy:
     def test_matches_solver(self, paper_group):
-        from repro.core.solvers import optimize_load_distribution
+        from repro.core.solvers import dispatch
 
         res = OptimalPolicy().distribute(paper_group, 23.52, "fcfs")
-        ref = optimize_load_distribution(paper_group, 23.52, "fcfs")
+        ref = dispatch(paper_group, 23.52, "fcfs")
         assert res.mean_response_time == pytest.approx(
             ref.mean_response_time, rel=1e-12
         )
@@ -115,6 +115,11 @@ class TestOptimalPolicy:
         ):
             t = policy.distribute(paper_group, lam).mean_response_time
             assert t >= opt - 1e-12
+
+    def test_dispatch_policy_accepts_newton(self, paper_group):
+        split = OptimalPolicy(method="newton").rates(paper_group, 23.52, "fcfs")
+        expected = OptimalPolicy(method="bisection").rates(paper_group, 23.52, "fcfs")
+        np.testing.assert_allclose(split, expected, atol=1e-7)
 
 
 class TestRegistry:

@@ -23,7 +23,7 @@ from repro.core.exceptions import (
     SolverTimeoutError,
 )
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
+from repro.core.solvers import dispatch
 from repro.faults import (
     FaultPlan,
     FaultSchedule,
@@ -146,7 +146,7 @@ class TestSolverFaultInjector:
         inj = SolverFaultInjector(
             specs, np.random.default_rng(0), clock
         )
-        return inj, inj.wrap(optimize_load_distribution)
+        return inj, inj.wrap(dispatch)
 
     def test_raises_inside_window_passes_outside(self, group):
         t = {"now": 0.0}
@@ -305,8 +305,8 @@ class TestHealthControlEvents:
 class TestFaultPlan:
     def test_wrapping_is_identity_without_matching_specs(self, group):
         plan = FaultPlan(FaultSchedule([], seed=0))
-        assert plan.wrap_solver(optimize_load_distribution) is (
-            optimize_load_distribution
+        assert plan.wrap_solver(dispatch) is (
+            dispatch
         )
         est = EwmaRateEstimator(10.0)
         assert plan.wrap_estimator(est) is est
@@ -317,7 +317,7 @@ class TestFaultPlan:
         )
         t = {"now": 150.0}
         plan.bind_clock(lambda: t["now"])
-        solve = plan.wrap_solver(optimize_load_distribution)
+        solve = plan.wrap_solver(dispatch)
         with pytest.raises(ConvergenceError):
             solve(group, 3.0, "fcfs", method="kkt")
         t["now"] = 250.0
@@ -366,7 +366,7 @@ class _FlakySolver:
         self.calls.append(method)
         if "*" in self.broken_methods or method in self.broken_methods:
             raise ConvergenceError(f"synthetic failure for {method!r}")
-        result = optimize_load_distribution(
+        result = dispatch(
             group, total_rate, discipline, method=method, **kwargs
         )
         if self.tamper is not None:

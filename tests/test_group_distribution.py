@@ -10,14 +10,14 @@ from repro.core.distributions import (
     ResponseTimeDistribution,
 )
 from repro.core.exceptions import ParameterError
-from repro.core.solvers import optimize_load_distribution
+from repro.core.solvers import dispatch
 from repro.workloads import example_group
 
 
 @pytest.fixture(scope="module")
 def mixture():
     group = example_group()
-    res = optimize_load_distribution(group, 23.52, "fcfs")
+    res = dispatch(group, 23.52, "fcfs")
     return GroupResponseTimeDistribution.from_distribution(group, res), res
 
 
@@ -113,7 +113,7 @@ class TestValidation:
         from repro.core.server import BladeServerGroup
 
         g = BladeServerGroup.from_arrays([4, 1], [2.0, 0.1], [0.0, 0.05])
-        res = optimize_load_distribution(g, 0.5, "fcfs")
+        res = dispatch(g, 0.5, "fcfs")
         assert res.generic_rates[1] == pytest.approx(0.0, abs=1e-9)
         dist = GroupResponseTimeDistribution.from_distribution(g, res)
         assert len(dist._parts) == 1
@@ -127,7 +127,7 @@ class TestAgainstSimulation:
 
         group = BladeServerGroup.from_arrays([2, 4], [1.4, 1.0])
         lam = 0.75 * group.max_generic_rate
-        res = optimize_load_distribution(group, lam, "fcfs")
+        res = dispatch(group, lam, "fcfs")
         dist = GroupResponseTimeDistribution.from_distribution(group, res)
         config = SimulationConfig(
             total_generic_rate=lam,

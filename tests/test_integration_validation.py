@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.validation import validate_model
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
+from repro.core.solvers import dispatch
 from repro.sim.engine import simulate_group
 from repro.workloads import example_group
 
@@ -72,7 +72,7 @@ class TestOptimalityInSimulation:
         """The optimizer's advantage must be visible in simulated reality,
         not only in the analytic formulas."""
         lam = 0.8 * group.max_generic_rate
-        opt = optimize_load_distribution(group, lam, "fcfs")
+        opt = dispatch(group, lam, "fcfs")
         kw = dict(horizon=10_000.0, warmup=1_000.0, seed=3)
         t_opt = simulate_group(
             group, lam, opt.fractions, "fcfs", **kw
@@ -86,7 +86,7 @@ class TestOptimalityInSimulation:
         """One full-scale run of the Examples 1/2 system (kept short)."""
         group = example_group()
         lam = 23.52
-        res = optimize_load_distribution(group, lam, "fcfs")
+        res = dispatch(group, lam, "fcfs")
         sim = simulate_group(
             group,
             lam,

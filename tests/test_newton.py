@@ -1,7 +1,8 @@
 """Tests for the damped-Newton dual-ascent backend (core/newton.py).
 
-Covers the analytic building blocks (batched second derivatives and
-marginal-cost slopes against their scalar counterparts), cross-backend
+Covers the analytic building blocks (the batched ``p_0`` kernel,
+second derivatives, marginal costs and their slopes against their
+scalar counterparts), cross-backend
 agreement on randomized heterogeneous groups — including zero-rate
 parked servers and the saturation edge — warm-start semantics, and the
 Tables 1–2 seven-decimal anchors through the ``repro.solve`` facade.
@@ -14,17 +15,24 @@ import pytest
 
 from repro import solve
 from repro.core.bisection import calculate_t_prime
-from repro.core.exceptions import ParameterError
+from repro.core.erlang import log_p_zero, p_zero
+from repro.core.exceptions import ParameterError, SaturationError
 from repro.core.kkt import solve_kkt
 from repro.core.newton import (
     _d2_response_drho2_vec,
+    _waiting_factor_from_p0,
     marginal_cost_and_slope_vec,
+    p_zero_vec,
     solve_newton,
 )
 from repro.core.objective import marginal_cost
-from repro.core.response import Discipline, d2_generic_response_time_drho2
+from repro.core.response import (
+    Discipline,
+    d2_generic_response_time_drho2,
+    waiting_factor,
+)
 from repro.core.server import BladeServer, BladeServerGroup
-from repro.core.vectorized import _solve_vectorized, marginal_cost_vec
+from repro.workloads.sweeps import sweep_rates
 from repro.workloads.paper import (
     EXAMPLE_TOTAL_RATE,
     TABLE1_RATES,
@@ -52,6 +60,45 @@ def random_group(rng: np.random.Generator) -> BladeServerGroup:
     return BladeServerGroup(servers, rbar=1.0)
 
 
+class TestKernels:
+    def test_p_zero_matches_scalar(self):
+        ms, rhos, expected = [], [], []
+        for m in (1, 2, 3, 7, 14, 30, 100, 250):
+            for rho in (0.0, 1e-9, 0.1, 0.5, 0.9, 0.999):
+                ms.append(m)
+                rhos.append(rho)
+                expected.append(p_zero(m, rho))
+        np.testing.assert_allclose(p_zero_vec(ms, rhos), expected, rtol=1e-12)
+
+    def test_p_zero_m1_closed_form(self):
+        rhos = np.linspace(0.0, 0.99, 34)
+        got = p_zero_vec(np.ones(rhos.size, dtype=int), rhos)
+        np.testing.assert_allclose(got, 1.0 - rhos, rtol=1e-13)
+
+    def test_p_zero_rescale_path(self):
+        # Offered loads large enough that the partial sums pass the
+        # rescale threshold; the log-space scalar is the oracle.
+        ms = [1000, 2000, 5000]
+        rhos = [0.7, 0.8, 0.9]
+        expected = [np.exp(log_p_zero(m, r)) for m, r in zip(ms, rhos)]
+        np.testing.assert_allclose(p_zero_vec(ms, rhos), expected, rtol=1e-9)
+
+    def test_saturated_utilization_raises(self):
+        with pytest.raises(SaturationError):
+            p_zero_vec([2, 3], [0.5, 1.0])
+
+    def test_waiting_factor_matches_scalar(self):
+        ms, rhos, expected = [], [], []
+        for m in (1, 2, 5, 14, 60):
+            for rho in (0.0, 0.2, 0.6, 0.95):
+                ms.append(m)
+                rhos.append(rho)
+                expected.append(waiting_factor(m, rho))
+        ms, rhos = np.array(ms), np.array(rhos)
+        got = _waiting_factor_from_p0(ms, rhos, p_zero_vec(ms, rhos))
+        np.testing.assert_allclose(got, expected, rtol=1e-11)
+
+
 class TestBatchedSecondDerivative:
     @pytest.mark.parametrize("disc", DISCIPLINES)
     def test_matches_scalar_kernel(self, disc):
@@ -60,8 +107,6 @@ class TestBatchedSecondDerivative:
         rhos = np.array([0.3, 0.0, 0.55, 0.7, 0.9, 0.15])
         rho_s = np.array([0.1, 0.0, 0.2, 0.3, 0.25, 0.05])
         d = Discipline.coerce(disc)
-        from repro.core.vectorized import p_zero_vec
-
         got = _d2_response_drho2_vec(ms, xbars, rhos, rho_s, d, p_zero_vec(ms, rhos))
         want = [
             d2_generic_response_time_drho2(
@@ -73,16 +118,40 @@ class TestBatchedSecondDerivative:
 
 
 class TestMarginalAndSlope:
+    @pytest.mark.parametrize("disc", DISCIPLINES)
+    def test_marginal_matches_scalar_kernel(self, disc):
+        ms = np.array([1, 2, 4, 6, 14], dtype=np.int64)
+        xbars = np.array([0.9, 1.0, 0.7, 1.4, 0.5])
+        specials = np.array([0.3, 0.5, 1.0, 0.8, 5.0])
+        lams = np.array([0.2, 0.6, 1.5, 0.0, 12.0])
+        d = Discipline.coerce(disc)
+        g, _ = marginal_cost_and_slope_vec(ms, xbars, specials, lams, 5.0, d)
+        ref = [
+            marginal_cost(int(m), float(xb), float(sp), float(lam), 5.0, d)
+            for m, xb, sp, lam in zip(ms, xbars, specials, lams)
+        ]
+        np.testing.assert_allclose(g, ref, rtol=1e-11)
+
     def test_marginal_matches_vectorized_kernel(self):
-        ms = np.array([2, 4, 6], dtype=np.int64)
-        xbars = np.array([1.0, 0.7, 1.4])
-        specials = np.array([0.5, 1.0, 0.8])
-        lams = np.array([0.6, 1.5, 0.0])
-        g, _ = marginal_cost_and_slope_vec(
-            ms, xbars, specials, lams, 5.0, Discipline.FCFS
-        )
-        ref = marginal_cost_vec(ms, xbars, specials, lams, 5.0, "fcfs")
-        np.testing.assert_allclose(g, ref, rtol=1e-13)
+        # A random batch, both disciplines through one batched call
+        # each: the vectorized marginal must match the scalar one
+        # server by server, including large blades and zero load.
+        rng = np.random.default_rng(7)
+        n = 40
+        ms = rng.integers(1, 60, size=n).astype(np.int64)
+        xbars = rng.uniform(0.3, 2.0, size=n)
+        cap = ms / xbars
+        specials = rng.uniform(0.0, 0.4, size=n) * cap
+        lams = rng.uniform(0.0, 0.5, size=n) * cap
+        lams[::7] = 0.0
+        total = float(lams.sum())
+        for d in (Discipline.FCFS, Discipline.PRIORITY):
+            g, _ = marginal_cost_and_slope_vec(ms, xbars, specials, lams, total, d)
+            ref = [
+                marginal_cost(int(m), float(xb), float(sp), float(lam), total, d)
+                for m, xb, sp, lam in zip(ms, xbars, specials, lams)
+            ]
+            np.testing.assert_allclose(g, ref, rtol=1e-11)
 
     @pytest.mark.parametrize("disc", DISCIPLINES)
     def test_slope_matches_finite_difference(self, disc):
@@ -99,8 +168,8 @@ class TestMarginalAndSlope:
 
 
 class TestBackendAgreement:
-    """newton/kkt/bisection/vectorized agree to <= 1e-9 on random
-    heterogeneous groups (the ISSUE's property test)."""
+    """newton/kkt/bisection agree to <= 1e-9 on random heterogeneous
+    groups."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_groups(self, seed):
@@ -111,8 +180,7 @@ class TestBackendAgreement:
         r_newton = solve_newton(group, lam, disc)
         r_kkt = solve_kkt(group, lam, disc)
         r_bis = calculate_t_prime(group, lam, disc)
-        r_vec = _solve_vectorized(group, lam, disc)
-        for other in (r_kkt, r_bis, r_vec):
+        for other in (r_kkt, r_bis):
             assert float(
                 np.max(np.abs(r_newton.generic_rates - other.generic_rates))
             ) <= 1e-9
@@ -166,6 +234,55 @@ class TestBackendAgreement:
         np.testing.assert_allclose(
             res.generic_rates, res.generic_rates[0], rtol=1e-9
         )
+
+
+class TestSolveNewton:
+    """Seeded random groups of a different shape than ``random_group``
+    (up to 15 blades per server, up to 50% special load)."""
+
+    @staticmethod
+    def random_groups(count, seed):
+        rng = np.random.default_rng(seed)
+        groups = []
+        for _ in range(count):
+            n = int(rng.integers(2, 11))
+            sizes = rng.integers(1, 16, n)
+            speeds = rng.uniform(0.4, 2.5, n)
+            specials = rng.uniform(0.0, 0.5, n) * sizes * speeds
+            groups.append(BladeServerGroup.from_arrays(sizes, speeds, specials))
+        return groups
+
+    @pytest.mark.parametrize("disc", [Discipline.FCFS, Discipline.PRIORITY])
+    def test_matches_paper_bisection_on_random_instances(self, disc):
+        for group in self.random_groups(8, seed=2024):
+            lam = 0.7 * group.max_generic_rate
+            newton = solve_newton(group, lam, disc, tol=1e-12)
+            ref = calculate_t_prime(group, lam, disc, tol=1e-12)
+            np.testing.assert_allclose(
+                newton.generic_rates, ref.generic_rates, atol=1e-9
+            )
+            assert abs(newton.mean_response_time - ref.mean_response_time) < 1e-9
+
+    @pytest.mark.parametrize("disc", [Discipline.FCFS, Discipline.PRIORITY])
+    def test_warm_start_agrees_with_cold(self, paper_group, disc):
+        hint = None
+        for lam in sweep_rates(paper_group, points=6, hi_fraction=0.9):
+            cold = solve_newton(paper_group, lam, disc, tol=1e-12)
+            warm = solve_newton(paper_group, lam, disc, tol=1e-12, phi_hint=hint)
+            hint = warm.phi
+            assert abs(warm.mean_response_time - cold.mean_response_time) < 1e-9
+            assert abs(sum(warm.generic_rates) - lam) < 1e-9 * max(1.0, lam)
+
+    def test_large_group_smoke(self):
+        group = BladeServerGroup.with_special_fraction(
+            [1 + (i % 16) for i in range(300)],
+            [0.6 + 0.01 * (i % 120) for i in range(300)],
+            fraction=0.3,
+        )
+        lam = 0.6 * group.max_generic_rate
+        res = solve_newton(group, lam, tol=1e-9)
+        assert abs(sum(res.generic_rates) - lam) < 1e-6
+        assert np.all(res.utilizations < 1.0)
 
 
 class TestWarmStart:

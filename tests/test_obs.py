@@ -22,6 +22,7 @@ from repro.faults import FaultPlan, random_fault_schedule
 from repro.obs import (
     NULL_METRIC,
     NULL_SPAN,
+    NULL_TRACER,
     Histogram,
     MetricsRegistry,
     NullRegistry,
@@ -393,16 +394,31 @@ class TestInstrumentedSolvePath:
         assert res.iterations >= 8
         assert iters.sum == pytest.approx(float(res.iterations))
 
-    def test_vectorized_outer_spans_nest_under_solve(self, paper_group):
+    def test_newton_outer_spans_nest_under_solve(self, paper_group):
         o = configure(ObsConfig(enabled=True))
-        dispatch(paper_group, EXAMPLE_TOTAL_RATE, Discipline.FCFS, method="vectorized")
+        res = dispatch(
+            paper_group, EXAMPLE_TOTAL_RATE, Discipline.FCFS, method="newton"
+        )
         (solve,) = o.tracer.of_name("solve")
         outers = o.tracer.of_name("solve.outer")
-        assert outers, "vectorized solve must emit per-outer-iteration spans"
+        assert len(outers) == res.iterations
         assert all(r["parent"] == solve["id"] for r in outers)
-        assert all(r["attrs"]["inner_calls"] >= 1 for r in outers)
+        assert sum(r["attrs"]["inner_sweeps"] for r in outers) == (
+            res.metadata["inner_sweeps"]
+        )
         sweeps = o.registry.get("repro_inner_sweeps")
         assert sweeps is not None and sweeps.count >= 1
+
+    def test_newton_does_no_registry_lookup_when_disabled(self, paper_group):
+        class NoLookups:
+            def __getattr__(self, name):
+                raise AssertionError(f"registry.{name} used with obs off")
+
+        configure(Observability(ObsConfig(), NoLookups(), NULL_TRACER))
+        res = dispatch(
+            paper_group, EXAMPLE_TOTAL_RATE, Discipline.FCFS, method="newton"
+        )
+        assert res.mean_response_time == pytest.approx(0.8964703, abs=5e-8)
 
 
 class TestClosedLoopChaosTrace:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.tables import render_table, reproduce_table
-from repro.core.solvers import optimize_load_distribution
+from repro import solve
 from repro.workloads.paper import (
     EXAMPLE_TOTAL_RATE,
     TABLE1_RATES,
@@ -31,20 +31,20 @@ METHODS = ["bisection", "kkt", "slsqp"]
 class TestTable1:
     @pytest.mark.parametrize("method", METHODS)
     def test_t_prime(self, paper_group, method):
-        res = optimize_load_distribution(
-            paper_group, EXAMPLE_TOTAL_RATE, "fcfs", method
+        res = solve(
+            paper_group, EXAMPLE_TOTAL_RATE, discipline="fcfs", method=method
         )
         assert res.mean_response_time == pytest.approx(TABLE1_T_PRIME, abs=TOL)
 
     def test_rates_all_digits(self, paper_group):
-        res = optimize_load_distribution(
-            paper_group, EXAMPLE_TOTAL_RATE, "fcfs", "kkt"
+        res = solve(
+            paper_group, EXAMPLE_TOTAL_RATE, discipline="fcfs", method="kkt"
         )
         assert np.allclose(res.generic_rates, TABLE1_RATES, atol=TOL)
 
     def test_utilizations_all_digits(self, paper_group):
-        res = optimize_load_distribution(
-            paper_group, EXAMPLE_TOTAL_RATE, "fcfs", "kkt"
+        res = solve(
+            paper_group, EXAMPLE_TOTAL_RATE, discipline="fcfs", method="kkt"
         )
         assert np.allclose(res.utilizations, TABLE1_UTILIZATIONS, atol=TOL)
 
@@ -57,20 +57,20 @@ class TestTable1:
 class TestTable2:
     @pytest.mark.parametrize("method", METHODS)
     def test_t_prime(self, paper_group, method):
-        res = optimize_load_distribution(
-            paper_group, EXAMPLE_TOTAL_RATE, "priority", method
+        res = solve(
+            paper_group, EXAMPLE_TOTAL_RATE, discipline="priority", method=method
         )
         assert res.mean_response_time == pytest.approx(TABLE2_T_PRIME, abs=TOL)
 
     def test_rates_all_digits(self, paper_group):
-        res = optimize_load_distribution(
-            paper_group, EXAMPLE_TOTAL_RATE, "priority", "kkt"
+        res = solve(
+            paper_group, EXAMPLE_TOTAL_RATE, discipline="priority", method="kkt"
         )
         assert np.allclose(res.generic_rates, TABLE2_RATES, atol=TOL)
 
     def test_utilizations_all_digits(self, paper_group):
-        res = optimize_load_distribution(
-            paper_group, EXAMPLE_TOTAL_RATE, "priority", "kkt"
+        res = solve(
+            paper_group, EXAMPLE_TOTAL_RATE, discipline="priority", method="kkt"
         )
         assert np.allclose(res.utilizations, TABLE2_UTILIZATIONS, atol=TOL)
 

@@ -38,7 +38,7 @@ from repro.runtime.policies import (
     registered_routers,
     router_spec,
 )
-from repro.runtime.router import AliasTableRouter, make_router
+from repro.runtime.router import AliasTableRouter, SmoothWeightedRoundRobinRouter
 from repro.shard import ShardConfig, run_sharded_closed_loop
 from repro.sim.task import TaskClass
 from repro.workloads.traces import RateTrace
@@ -298,25 +298,25 @@ class TestRouterRegistry:
             LoadDistributionRuntime(group, 3.0, config)
 
 
-class TestMakeRouterShim:
-    def test_shim_is_bit_identical_to_direct_construction(self):
+class TestRegistryBuild:
+    def test_alias_is_bit_identical_to_direct_construction(self):
         weights = [0.5, 0.3, 0.2]
         direct = AliasTableRouter(weights, np.random.default_rng(7))
-        with pytest.warns(DeprecationWarning):
-            shimmed = make_router("alias", weights, np.random.default_rng(7))
+        built = build_router(
+            RoutingConfig(policy="alias"), weights, np.random.default_rng(7)
+        )
         assert [direct.pick() for _ in range(500)] == [
-            shimmed.pick() for _ in range(500)
+            built.pick() for _ in range(500)
         ]
 
-    def test_shim_matches_registry_build(self):
+    def test_wrr_matches_direct_construction(self):
         weights = [0.6, 0.4]
-        registry = build_router(
+        direct = SmoothWeightedRoundRobinRouter(weights)
+        built = build_router(
             RoutingConfig(policy="wrr"), weights, np.random.default_rng(0)
         )
-        with pytest.warns(DeprecationWarning):
-            shimmed = make_router("wrr", weights, np.random.default_rng(0))
-        assert [registry.pick() for _ in range(100)] == [
-            shimmed.pick() for _ in range(100)
+        assert [direct.pick() for _ in range(100)] == [
+            built.pick() for _ in range(100)
         ]
 
 

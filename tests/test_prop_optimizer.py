@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from repro.core.bisection import calculate_t_prime
 from repro.core.closed_form import solve_closed_form
 from repro.core.kkt import solve_kkt
+from repro.core.newton import solve_newton
 from repro.core.objective import gradient
 from repro.core.server import BladeServerGroup
-from repro.core.vectorized import solve_vectorized
 
 
 @st.composite
@@ -130,7 +130,7 @@ class TestOptimizerProperties:
     @given(inst=random_instance(max_servers=4))
     @settings(max_examples=15, deadline=None)
     def test_bisection_backends_invariants_and_agreement(self, inst):
-        """Scalar and vectorized nested bisection: feasibility + parity.
+        """Scalar nested bisection vs Newton: feasibility + parity.
 
         Both backends must return rates inside the stability box
         ``0 <= lambda'_i < m_i/xbar_i - lambda''_i`` summing to the
@@ -139,14 +139,14 @@ class TestOptimizerProperties:
         """
         group, lam, disc = inst
         scalar = calculate_t_prime(group, lam, disc)
-        vec = solve_vectorized(group, lam, disc)
-        for res in (scalar, vec):
+        newton = solve_newton(group, lam, disc)
+        for res in (scalar, newton):
             rates = np.asarray(res.generic_rates)
             assert np.all(rates >= 0.0)
             assert np.all(rates < group.spare_capacities)
             assert abs(rates.sum() - lam) <= 1e-9 * max(1.0, lam)
         assert (
-            abs(scalar.mean_response_time - vec.mean_response_time)
+            abs(scalar.mean_response_time - newton.mean_response_time)
             <= 1e-9 * max(1.0, scalar.mean_response_time)
         )
 

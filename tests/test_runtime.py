@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.exceptions import ClusterDownError, ParameterError
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
+from repro.core.solvers import dispatch
 from repro.runtime import (
     AliasTableRouter,
     DriftDetector,
@@ -32,8 +32,9 @@ from repro.runtime import (
     RuntimeMetrics,
     ShedTracker,
     SlidingWindowRateEstimator,
+    RoutingConfig,
     SmoothWeightedRoundRobinRouter,
-    make_router,
+    build_router,
 )
 from repro.sim.arrivals import TracedPoissonArrivals
 from repro.sim.engine import GroupSimulation, SimulationConfig
@@ -208,16 +209,16 @@ class TestAliasTableRouter:
         np.testing.assert_allclose(router.weights, [0.5, 0.5])
 
 
-def test_make_router_dispatches_and_validates():
+def test_build_router_dispatches_and_validates():
     rng = np.random.default_rng(0)
-    with pytest.warns(DeprecationWarning):
-        assert isinstance(
-            make_router("swrr", [1.0], rng), SmoothWeightedRoundRobinRouter
-        )
-    with pytest.warns(DeprecationWarning):
-        assert isinstance(make_router("alias", [1.0], rng), AliasTableRouter)
-    with pytest.warns(DeprecationWarning), pytest.raises(ParameterError):
-        make_router("nope", [1.0], rng)
+
+    def build(policy):
+        return build_router(RoutingConfig(policy=policy), [1.0], rng)
+
+    assert isinstance(build("swrr"), SmoothWeightedRoundRobinRouter)
+    assert isinstance(build("alias"), AliasTableRouter)
+    with pytest.raises(ParameterError):
+        build("nope")
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +302,7 @@ class TestResolveController:
         controller = ResolveController(HealthTracker(group))
         lam = 0.5 * group.max_generic_rate
         outcome = controller.resolve(lam)
-        direct = optimize_load_distribution(group, outcome.solved_rate, "fcfs")
+        direct = dispatch(group, outcome.solved_rate, "fcfs")
         np.testing.assert_allclose(
             outcome.result.generic_rates, direct.generic_rates, rtol=1e-6
         )
@@ -356,13 +357,11 @@ class TestResolveController:
         assert np.all(outcome.result.utilizations < 1.0)
 
     def test_warm_start_agrees_with_cold(self, group):
-        warm = ResolveController(HealthTracker(group), method="vectorized")
+        warm = ResolveController(HealthTracker(group), method="newton")
         cap = group.max_generic_rate
         warm.resolve(0.4 * cap)
         hinted = warm.resolve(0.45 * cap)  # phi_hint path
-        cold = optimize_load_distribution(
-            group, hinted.solved_rate, "fcfs", method="vectorized"
-        )
+        cold = dispatch(group, hinted.solved_rate, "fcfs", method="newton")
         np.testing.assert_allclose(
             hinted.result.generic_rates, cold.generic_rates, atol=1e-7
         )
@@ -695,7 +694,7 @@ class TestShedTracker:
 
 class TestEngineClockAndScheduling:
     def _config(self, group):
-        fractions = optimize_load_distribution(group, 3.0, "fcfs").fractions
+        fractions = dispatch(group, 3.0, "fcfs").fractions
         return SimulationConfig(
             total_generic_rate=3.0,
             fractions=tuple(fractions),

@@ -7,7 +7,8 @@ scaling them *up* pushed their utilization past 1 and
 ``mean_response_time`` raised ``SaturationError`` on perfectly feasible
 instances.  The settlement now distributes the residual only across
 servers with headroom and clips at the caps; these tests pin the fix on
-both bisection-family backends at >= 99.9% of group saturation.
+the paper bisection and the Newton backend at >= 99.9% of group
+saturation.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ import pytest
 from repro.core.bisection import calculate_t_prime, settle_residual
 from repro.core.response import Discipline
 from repro.core.server import BladeServerGroup
-from repro.core.vectorized import solve_vectorized
+from repro.core.newton import solve_newton
 
 BACKENDS = [
     pytest.param(calculate_t_prime, id="paper-bisection"),
-    pytest.param(solve_vectorized, id="vectorized"),
+    pytest.param(solve_newton, id="newton"),
 ]
 
 #: (load fraction of saturation, solver tol) pairs that made the seed

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.sensitivity import optimal_value_sensitivities
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import optimize_load_distribution
+from repro.core.solvers import dispatch
 
 
 def reoptimized_fd_special(group, total_rate, disc, j, h=1e-5):
@@ -19,7 +19,7 @@ def reoptimized_fd_special(group, total_rate, disc, j, h=1e-5):
         g = BladeServerGroup.from_arrays(
             group.sizes, group.speeds, specials, rbar=group.rbar
         )
-        return optimize_load_distribution(
+        return dispatch(
             g, total_rate, disc
         ).mean_response_time
 
@@ -33,7 +33,7 @@ def reoptimized_fd_speed(group, total_rate, disc, j, h=1e-5):
         g = BladeServerGroup.from_arrays(
             group.sizes, speeds, group.special_rates, rbar=group.rbar
         )
-        return optimize_load_distribution(
+        return dispatch(
             g, total_rate, disc
         ).mean_response_time
 
@@ -48,7 +48,7 @@ def reoptimized_fd_rbar(group, total_rate, disc, h=1e-6):
             group.special_rates,
             rbar=group.rbar + delta,
         )
-        return optimize_load_distribution(
+        return dispatch(
             g, total_rate, disc
         ).mean_response_time
 

@@ -17,7 +17,12 @@ from repro.core.kkt import rate_for_multiplier, solve_kkt
 from repro.core.nlp import solve_nlp
 from repro.core.objective import gradient, marginal_cost
 from repro.core.server import BladeServerGroup
-from repro.core.solvers import available_methods, optimize_load_distribution
+from repro.core.solvers import (
+    AUTO_NEWTON_THRESHOLD,
+    available_methods,
+    dispatch,
+    resolve_method,
+)
 
 DISCIPLINES = ["fcfs", "priority"]
 
@@ -146,7 +151,7 @@ class TestOptimalityConditions:
     def test_budget_constraint_exact(self, paper_group, disc):
         lam = 0.4 * paper_group.max_generic_rate
         for method in ("bisection", "kkt", "slsqp"):
-            res = optimize_load_distribution(paper_group, lam, disc, method)
+            res = dispatch(paper_group, lam, disc, method)
             assert res.total_rate == pytest.approx(lam, rel=1e-12)
 
     def test_all_rates_stable(self, paper_group):
@@ -242,31 +247,46 @@ class TestFacade:
         assert set(methods) >= {"bisection", "kkt", "slsqp", "closed-form", "auto"}
 
     def test_auto_picks_closed_form_for_single_blades(self, single_blade_group):
-        res = optimize_load_distribution(
-            single_blade_group, 1.0, "fcfs", "auto"
-        )
+        res = dispatch(single_blade_group, 1.0, "fcfs", "auto")
         assert res.method.startswith("closed-form")
+        n = AUTO_NEWTON_THRESHOLD
+        big = BladeServerGroup.from_arrays([1] * n, [1.0] * n)
+        assert resolve_method(big, "auto") == "closed-form"
 
     def test_auto_picks_kkt_otherwise(self, paper_group):
-        res = optimize_load_distribution(paper_group, 10.0, "fcfs", "auto")
+        res = dispatch(paper_group, 10.0, "fcfs", "auto")
         assert res.method == "kkt-brentq"
+
+    def test_auto_keeps_kkt_for_small_groups(self, paper_group):
+        assert AUTO_NEWTON_THRESHOLD == 16
+        assert resolve_method(paper_group, "auto") == "kkt"
+        n = AUTO_NEWTON_THRESHOLD - 1
+        below = BladeServerGroup.from_arrays([2] * n, [1.0] * n)
+        assert resolve_method(below, "auto") == "kkt"
+
+    def test_auto_picks_newton_for_large_groups(self):
+        n = AUTO_NEWTON_THRESHOLD
+        group = BladeServerGroup.from_arrays([2] * (n - 1) + [1], [1.0] * n)
+        assert resolve_method(group, "auto") == "newton"
+        res = dispatch(group, 0.5 * group.max_generic_rate, "fcfs", "auto")
+        assert res.method == "newton-dual-ascent"
 
     def test_unknown_method(self, paper_group):
         with pytest.raises(ParameterError):
-            optimize_load_distribution(paper_group, 10.0, "fcfs", "magic")
+            dispatch(paper_group, 10.0, "fcfs", "magic")
 
     def test_infeasible_rate(self, paper_group):
         with pytest.raises(InfeasibleError):
-            optimize_load_distribution(
+            dispatch(
                 paper_group, paper_group.max_generic_rate, "fcfs"
             )
 
     def test_closed_form_rejects_multi_blade(self, paper_group):
         with pytest.raises(ParameterError):
-            optimize_load_distribution(paper_group, 10.0, "fcfs", "closed-form")
+            dispatch(paper_group, 10.0, "fcfs", "closed-form")
 
     def test_result_fields(self, paper_group):
-        res = optimize_load_distribution(paper_group, 20.0, "priority", "kkt")
+        res = dispatch(paper_group, 20.0, "priority", "kkt")
         assert res.n == 7
         assert res.discipline.value == "priority"
         assert res.converged
@@ -277,11 +297,11 @@ class TestFacade:
 class TestEdgeCases:
     def test_single_server_group(self):
         group = BladeServerGroup.from_arrays([4], [1.0], [1.0])
-        res = optimize_load_distribution(group, 2.0, "fcfs", "kkt")
+        res = dispatch(group, 2.0, "fcfs", "kkt")
         assert res.generic_rates[0] == pytest.approx(2.0)
 
     def test_very_low_load(self, paper_group):
-        res = optimize_load_distribution(paper_group, 1e-4, "fcfs", "kkt")
+        res = dispatch(paper_group, 1e-4, "fcfs", "kkt")
         assert res.total_rate == pytest.approx(1e-4, rel=1e-9)
         # At vanishing load everything goes to the fastest server(s).
         assert res.mean_response_time < paper_group.xbars.max()

@@ -1,32 +1,28 @@
 """Chaos acceptance harness: closed-loop runs under randomized faults.
 
-:func:`run_chaos` drives :func:`~repro.runtime.loop.run_closed_loop`
-under one randomized-but-reproducible fault schedule per seed and
-audits each run against the resilience contract:
+Three suites share one seed loop.  For every seed it draws the fault
+schedule, gives crash-prone seeds a recovery directory, runs the closed
+loop, records a failed run instead of dying when the loop raises, and
+scores the post-fault tail window against the analytic optimum ``T'``
+of the healed system.  Each suite only adds its runner and its audit:
 
-* the run completes — no exception escapes the control loop;
-* the invariant watchdog never fires (weights normalized, exact zeros
-  on down servers, active utilizations under the ρ-cap);
-* no generic task is admitted to a server after its down signal was
-  delivered and before its up signal;
-* after the last fault window closes (plus a settle interval), the
-  measured mean generic response time re-converges to the analytic
-  optimum ``T'`` of the healed system.
+* :func:`run_chaos` drives :func:`~repro.runtime.loop.run_closed_loop`
+  and audits the resilience contract: the run completes, the invariant
+  watchdog never fires, no generic task is admitted to a server inside
+  a delivered down window, and the tail re-converges to ``T'``.
+* :func:`run_sharded_chaos` drives
+  :func:`~repro.shard.runtime.run_sharded_closed_loop` under schedules
+  that add shard-targeted and coordinator solver faults, and audits the
+  :class:`~repro.shard.supervisor.ShardSupervisor` contract: failover
+  within the heartbeat bound, bounded shed while a shard is dark, and
+  tail re-convergence of the healed fleet.
+* :func:`run_overload_chaos` drives a burst past capacity with
+  retrying clients and audits whether the run recovers to the
+  base-rate ``T'`` instead of going metastable.
 
-The per-seed :class:`ChaosRunRecord` and the aggregate
-:class:`ChaosSuiteReport` are plain data with ``to_dict`` methods, so a
-CI job can archive the full evidence trail as a JSON artifact
+Per-seed records and aggregate reports are plain data with ``to_dict``
+methods, so a CI job can archive the full evidence trail as JSON
 (:func:`dump_chaos_artifacts`).
-
-:func:`run_sharded_chaos` is the fleet-scale counterpart: it drives
-:func:`~repro.shard.runtime.run_sharded_closed_loop` under randomized
-schedules that add shard-targeted faults (``shard-crash`` /
-``shard-stall`` / ``shard-journal-corrupt``) and coordinator solver
-faults, and audits the :class:`~repro.shard.supervisor.ShardSupervisor`
-contract: no escaped exceptions, failover within the heartbeat bound,
-bounded shed during the dark window, and tail re-convergence of the
-healed fleet.  :class:`ShardChaosSuiteReport` is duck-compatible with
-:func:`dump_chaos_artifacts`.
 """
 
 from __future__ import annotations
@@ -88,9 +84,20 @@ def _replication_ci(
     return center - half, center + half
 
 
+def _plain(value):
+    """JSON-safe form of a record or report value."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
 @dataclass(frozen=True)
-class ChaosRunRecord:
-    """Audit of one seeded chaos run."""
+class _RunRecord:
+    """Audit fields every seeded run shares."""
 
     #: The seed (drives the schedule, the injections, and the sim).
     seed: int
@@ -100,21 +107,12 @@ class ChaosRunRecord:
     completed: bool
     #: The escaped exception, when ``completed`` is False.
     error: str | None
-    #: Invariant-watchdog violations recorded by the supervisor.
-    watchdog_violations: int = 0
-    #: Generic tasks admitted to a server inside a delivered down
-    #: window (audited post-hoc from the task log).
-    routed_to_down: int = 0
-    #: Fallback-chain sources that answered at least one decision.
-    sources_used: frozenset = frozenset()
-    #: Deepest fallback rung reached.
-    max_fallback_depth: int = 0
+    #: Fraction of offered arrivals shed over the whole run.
+    shed_fraction_observed: float = 0.0
     #: Incident totals per kind.
     incident_counts: dict = field(default_factory=dict)
     #: Retained incident records (dict form), for artifacts.
     incidents: tuple = ()
-    #: Fraction of offered arrivals shed over the whole run.
-    shed_fraction_observed: float = 0.0
     #: Mean generic ``T'`` over the post-fault tail window.
     tail_mean: float = math.nan
     #: Tasks the tail mean averages over.
@@ -123,40 +121,42 @@ class ChaosRunRecord:
     analytic_t_prime: float = math.nan
     #: ``|tail_mean - analytic| / analytic``.
     tail_relative_error: float = math.nan
-    #: Control-plane crash/restore cycles performed during the run.
-    crashes: int = 0
-    #: Journal records replayed across those restores.
-    journal_replayed: int = 0
 
     def to_dict(self) -> dict:
         """JSON-serializable form for CI artifacts."""
         return {
-            "seed": self.seed,
-            "schedule": self.schedule,
-            "completed": self.completed,
-            "error": self.error,
-            "watchdog_violations": self.watchdog_violations,
-            "routed_to_down": self.routed_to_down,
-            "sources_used": sorted(self.sources_used),
-            "max_fallback_depth": self.max_fallback_depth,
-            "incident_counts": dict(self.incident_counts),
-            "incidents": list(self.incidents),
-            "shed_fraction_observed": self.shed_fraction_observed,
-            "tail_mean": self.tail_mean,
-            "tail_count": self.tail_count,
-            "analytic_t_prime": self.analytic_t_prime,
-            "tail_relative_error": self.tail_relative_error,
-            "crashes": self.crashes,
-            "journal_replayed": self.journal_replayed,
+            f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)
         }
 
 
-@dataclass(frozen=True)
-class ChaosSuiteReport:
-    """Aggregate verdict over every seeded chaos run."""
+def _summed(name: str, doc: str) -> property:
+    """Report property: record field ``name`` summed over all runs."""
+    return property(lambda self: sum(getattr(r, name) for r in self.records), doc=doc)
 
-    records: tuple[ChaosRunRecord, ...]
+
+def _worst(name: str, doc: str) -> property:
+    """Report property: largest non-NaN ``name`` over completed runs."""
+
+    def worst(self) -> float:
+        values = [
+            getattr(r, name)
+            for r in self.records
+            if r.completed and not math.isnan(getattr(r, name))
+        ]
+        return max(values) if values else math.nan
+
+    return property(worst, doc=doc)
+
+
+@dataclass(frozen=True)
+class _SuiteReport:
+    """Aggregate verdict over every seeded run of one suite."""
+
+    records: tuple
     analytic_t_prime: float
+
+    #: Report properties :meth:`to_dict` exports beside the common ones.
+    _summary = ()
 
     @property
     def n_runs(self) -> int:
@@ -174,29 +174,6 @@ class ChaosSuiteReport:
         return tuple(r.seed for r in self.records if not r.completed)
 
     @property
-    def total_watchdog_violations(self) -> int:
-        """Watchdog violations summed over all runs."""
-        return sum(r.watchdog_violations for r in self.records)
-
-    @property
-    def total_routed_to_down(self) -> int:
-        """Down-server routing audit failures summed over all runs."""
-        return sum(r.routed_to_down for r in self.records)
-
-    @property
-    def total_crashes(self) -> int:
-        """Crash/restore cycles summed over all runs."""
-        return sum(r.crashes for r in self.records)
-
-    @property
-    def sources_used(self) -> frozenset:
-        """Union of fallback sources exercised across the suite."""
-        out: set = set()
-        for r in self.records:
-            out |= set(r.sources_used)
-        return frozenset(out)
-
-    @property
     def tail_means(self) -> np.ndarray:
         """Post-fault tail means of the completed runs."""
         return np.array(
@@ -205,18 +182,7 @@ class ChaosSuiteReport:
 
     def tail_confidence_interval(self, confidence: float = 0.95) -> tuple[float, float]:
         """Replication CI over the per-seed post-fault tail means."""
-        from scipy import stats as scipy_stats
-
-        means = self.tail_means
-        if means.size < 2:
-            raise ParameterError("need >= 2 completed runs for a replication CI")
-        center = float(np.mean(means))
-        half = float(
-            scipy_stats.t.ppf(0.5 + confidence / 2.0, df=means.size - 1)
-            * np.std(means, ddof=1)
-            / math.sqrt(means.size)
-        )
-        return center - half, center + half
+        return _replication_ci(self.tail_means, confidence)
 
     def reconverged(self, confidence: float = 0.95) -> bool:
         """Whether the analytic ``T'`` lies inside the replication CI."""
@@ -225,16 +191,170 @@ class ChaosSuiteReport:
 
     def to_dict(self) -> dict:
         """JSON-serializable form for CI artifacts."""
+        keys = ("n_runs", "all_completed", "failed_seeds", *self._summary)
         return {
-            "n_runs": self.n_runs,
-            "all_completed": self.all_completed,
-            "failed_seeds": list(self.failed_seeds),
-            "total_watchdog_violations": self.total_watchdog_violations,
-            "total_routed_to_down": self.total_routed_to_down,
-            "sources_used": sorted(self.sources_used),
+            **{k: _plain(getattr(self, k)) for k in keys},
             "analytic_t_prime": self.analytic_t_prime,
             "records": [r.to_dict() for r in self.records],
         }
+
+
+def _run_suite(
+    report: type,
+    record: type,
+    group: BladeServerGroup,
+    rate: float,
+    *,
+    seeds: Sequence[int],
+    horizon: float,
+    settle: float | None,
+    config: RuntimeConfig | None,
+    runner: Callable = run_closed_loop,
+    schedule_for: Callable[[int], FaultSchedule],
+    audit: Callable[[object, FaultSchedule, FaultPlan], dict],
+    trace_for: Callable[[FaultSchedule], RateTrace] | None = None,
+    needs_recovery: Callable[[FaultPlan], bool] = lambda plan: False,
+    recovery_dir: str | None = None,
+    run_kwargs: dict | None = None,
+    failed_fields: dict | None = None,
+):
+    """The seed loop every chaos suite runs; returns the ``report``.
+
+    Per seed: draw ``schedule_for(seed)``, run ``runner`` (a closed
+    loop over ``trace_for(schedule)``, constant ``rate`` by default,
+    plus ``run_kwargs``) and turn a completed run into the suite's own
+    ``record`` fields with ``audit(out, schedule, plan)``.  A seed whose
+    plan ``needs_recovery`` gets its own journal/checkpoint directory
+    under ``recovery_dir`` (a fresh temporary directory by default)
+    unless ``config`` already enables recovery.  A run that raises
+    becomes a failed record carrying ``failed_fields``.  The tail window
+    starts ``settle`` after the last fault (default: 30% of the
+    post-fault stretch), capped at 95% of the horizon.
+    """
+    if config is None:
+        config = RuntimeConfig(router="alias")
+    analytic = dispatch(group, rate, config.discipline).mean_response_time
+    records = []
+    for seed in seeds:
+        schedule = schedule_for(seed)
+        plan = FaultPlan(schedule)
+        run_config = config
+        if needs_recovery(plan) and not config.recovery.enabled:
+            # Crash runs need somewhere durable to restore from; give
+            # each seed its own journal/checkpoint directory.
+            if recovery_dir is None:
+                recovery_dir = tempfile.mkdtemp(prefix="repro-chaos-recovery-")
+            run_config = dataclasses.replace(
+                config,
+                recovery=RecoveryConfig(
+                    enabled=True,
+                    directory=os.path.join(recovery_dir, f"seed-{seed}"),
+                ),
+            )
+        common = dict(seed=seed, schedule=schedule.to_dict(), analytic_t_prime=analytic)
+        try:
+            out = runner(
+                group,
+                RateTrace.constant(rate) if trace_for is None else trace_for(schedule),
+                run_config,
+                horizon=horizon,
+                warmup=0.0,
+                seed=seed,
+                fault_plan=plan,
+                collect_tasks=True,
+                **(run_kwargs or {}),
+            )
+        except Exception as exc:  # noqa: BLE001 - the suite must report, not die
+            records.append(
+                record(
+                    completed=False,
+                    error=f"{type(exc).__name__}: {exc}",
+                    **common,
+                    **(failed_fields or {}),
+                )
+            )
+            continue
+        fault_end = schedule.last_fault_end
+        pad = settle if settle is not None else 0.3 * (horizon - fault_end)
+        tail_start = min(fault_end + pad, horizon * 0.95)
+        tail = [
+            t.response_time
+            for t in out.sim.task_log
+            if t.task_class.name == "GENERIC" and t.arrival_time >= tail_start
+        ]
+        tail_mean = float(np.mean(tail)) if tail else math.nan
+        records.append(
+            record(
+                completed=True,
+                error=None,
+                tail_mean=tail_mean,
+                tail_count=len(tail),
+                tail_relative_error=(
+                    abs(tail_mean - analytic) / analytic if tail else math.nan
+                ),
+                **common,
+                **audit(out, schedule, plan),
+            )
+        )
+    return report(records=tuple(records), analytic_t_prime=analytic)
+
+
+def _incident_fields(log) -> dict:
+    """The record fields an :class:`~repro.runtime.metrics.IncidentLog` fills."""
+    return {
+        "incident_counts": dict(log.counts),
+        "incidents": tuple(r.to_dict() for r in log),
+    }
+
+
+def _restore_fields(out) -> dict:
+    """Crash/restore cycles of one run and the journal records they replayed."""
+    return {
+        "crashes": len(out.restores),
+        "journal_replayed": sum(r.replayed_records for r in out.restores),
+    }
+
+
+@dataclass(frozen=True)
+class ChaosRunRecord(_RunRecord):
+    """Audit of one seeded chaos run."""
+
+    #: Invariant-watchdog violations recorded by the supervisor.
+    watchdog_violations: int = 0
+    #: Generic tasks admitted to a server inside a delivered down
+    #: window (audited post-hoc from the task log).
+    routed_to_down: int = 0
+    #: Fallback-chain sources that answered at least one decision.
+    sources_used: frozenset = frozenset()
+    #: Deepest fallback rung reached.
+    max_fallback_depth: int = 0
+    #: Control-plane crash/restore cycles performed during the run.
+    crashes: int = 0
+    #: Journal records replayed across those restores.
+    journal_replayed: int = 0
+
+
+class ChaosSuiteReport(_SuiteReport):
+    """Aggregate verdict over every seeded chaos run."""
+
+    _summary = (
+        "total_watchdog_violations",
+        "total_routed_to_down",
+        "sources_used",
+    )
+
+    total_watchdog_violations = _summed(
+        "watchdog_violations", "Watchdog violations summed over all runs."
+    )
+    total_routed_to_down = _summed(
+        "routed_to_down", "Down-server routing audit failures summed over all runs."
+    )
+    total_crashes = _summed("crashes", "Crash/restore cycles summed over all runs.")
+
+    @property
+    def sources_used(self) -> frozenset:
+        """Union of fallback sources exercised across the suite."""
+        return frozenset().union(*(r.sources_used for r in self.records))
 
     def render(self) -> str:
         """Human-readable per-seed summary table."""
@@ -339,110 +459,54 @@ def run_chaos(
         whose schedule carries a crash fault, whether it came from
         ``allow_crash`` or from a crafted ``schedule_factory``.
     """
-    if config is None:
-        config = RuntimeConfig(router="alias")
-    analytic = dispatch(
-        group, rate, config.discipline
-    ).mean_response_time
-    records: list[ChaosRunRecord] = []
-    recovery_base = recovery_dir
-    for seed in seeds:
-        if schedule_factory is not None:
-            schedule = schedule_factory(seed)
-        else:
-            schedule = random_fault_schedule(
-                group.n,
-                horizon,
-                seed,
-                quiet_tail=quiet_tail,
-                max_faults=max_faults,
-                allow_cluster_down=allow_cluster_down,
-                allow_crash=allow_crash,
-            )
-        plan = FaultPlan(schedule)
-        run_config = config
-        if plan.crash_specs and not config.recovery.enabled:
-            # Crash runs need somewhere durable to restore from; give
-            # each seed its own journal/checkpoint directory.
-            if recovery_base is None:
-                recovery_base = tempfile.mkdtemp(prefix="repro-chaos-recovery-")
-            run_config = dataclasses.replace(
-                config,
-                recovery=RecoveryConfig(
-                    enabled=True,
-                    directory=os.path.join(recovery_base, f"seed-{seed}"),
-                ),
-            )
-        try:
-            out = run_closed_loop(
-                group,
-                RateTrace.constant(rate),
-                run_config,
-                horizon=horizon,
-                warmup=0.0,
-                seed=seed,
-                fault_plan=plan,
-                collect_tasks=True,
-            )
-        except Exception as exc:  # noqa: BLE001 - the suite must report, not die
-            records.append(
-                ChaosRunRecord(
-                    seed=seed,
-                    schedule=schedule.to_dict(),
-                    completed=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                    analytic_t_prime=analytic,
-                )
-            )
-            continue
-        fault_end = schedule.last_fault_end
-        pad = settle if settle is not None else 0.3 * (horizon - fault_end)
-        tail_start = min(fault_end + pad, horizon * 0.95)
-        tail = [
-            t.response_time
-            for t in out.sim.task_log
-            if t.task_class.name == "GENERIC" and t.arrival_time >= tail_start
-        ]
-        tail_mean = float(np.mean(tail)) if tail else math.nan
-        metrics = out.metrics
-        records.append(
-            ChaosRunRecord(
-                seed=seed,
-                schedule=schedule.to_dict(),
-                completed=True,
-                error=None,
-                watchdog_violations=metrics.counters.watchdog_violations,
-                routed_to_down=_audit_routing(out, plan.health_timeline, horizon),
-                sources_used=metrics.fallback_depth.sources_used,
-                max_fallback_depth=metrics.fallback_depth.max_depth,
-                incident_counts=dict(metrics.incidents.counts),
-                incidents=tuple(r.to_dict() for r in metrics.incidents),
-                shed_fraction_observed=metrics.shed_fraction_observed,
-                tail_mean=tail_mean,
-                tail_count=len(tail),
-                analytic_t_prime=analytic,
-                tail_relative_error=(
-                    abs(tail_mean - analytic) / analytic if tail else math.nan
-                ),
-                crashes=len(out.restores),
-                journal_replayed=sum(r.replayed_records for r in out.restores),
-            )
+
+    def schedule_for(seed: int) -> FaultSchedule:
+        return random_fault_schedule(
+            group.n,
+            horizon,
+            seed,
+            quiet_tail=quiet_tail,
+            max_faults=max_faults,
+            allow_cluster_down=allow_cluster_down,
+            allow_crash=allow_crash,
         )
-    return ChaosSuiteReport(records=tuple(records), analytic_t_prime=analytic)
+
+    def audit(out, schedule, plan) -> dict:
+        metrics = out.metrics
+        return {
+            "watchdog_violations": metrics.counters.watchdog_violations,
+            "routed_to_down": _audit_routing(out, plan.health_timeline, horizon),
+            "sources_used": metrics.fallback_depth.sources_used,
+            "max_fallback_depth": metrics.fallback_depth.max_depth,
+            "shed_fraction_observed": metrics.shed_fraction_observed,
+            **_incident_fields(metrics.incidents),
+            **_restore_fields(out),
+        }
+
+    return _run_suite(
+        ChaosSuiteReport,
+        ChaosRunRecord,
+        group,
+        rate,
+        seeds=seeds,
+        horizon=horizon,
+        settle=settle,
+        config=config,
+        schedule_for=schedule_factory if schedule_factory is not None else schedule_for,
+        audit=audit,
+        needs_recovery=lambda plan: bool(plan.crash_specs),
+        recovery_dir=recovery_dir,
+    )
 
 
 @dataclass(frozen=True)
-class ShardChaosRunRecord:
-    """Audit of one seeded fleet-scale chaos run."""
+class ShardChaosRunRecord(_RunRecord):
+    """Audit of one seeded fleet-scale chaos run.
 
-    #: The seed (drives the schedule, the injections, and the sim).
-    seed: int
-    #: The schedule the run was subjected to (declarative form).
-    schedule: dict
-    #: Whether the sharded loop ran to the horizon without an exception.
-    completed: bool
-    #: The escaped exception, when ``completed`` is False.
-    error: str | None
+    ``shed_fraction_observed`` counts both per-shard degraded-mode
+    shedding and failover shed; the incidents are the fleet's.
+    """
+
     #: Shards the run was partitioned into.
     n_shards: int = 0
     #: Shards the heartbeat detector declared dead and failed over.
@@ -463,137 +527,32 @@ class ShardChaosRunRecord:
     breaker_opens: int = 0
     #: Failed coordinator re-solve attempts (pre-retry granularity).
     rebalance_failures: int = 0
-    #: Fraction of offered arrivals shed over the whole run, counting
-    #: both per-shard degraded-mode shedding and failover shed.
-    shed_fraction_observed: float = 0.0
     #: Arrivals the split sent to a dead shard before failover re-split.
     failover_shed: int = 0
-    #: Fleet incident totals per kind.
-    incident_counts: dict = field(default_factory=dict)
-    #: Retained fleet incident records (dict form), for artifacts.
-    incidents: tuple = ()
-    #: Mean generic ``T'`` over the post-fault tail window.
-    tail_mean: float = math.nan
-    #: Tasks the tail mean averages over.
-    tail_count: int = 0
-    #: The analytic optimum of the healed fleet.
-    analytic_t_prime: float = math.nan
-    #: ``|tail_mean - analytic| / analytic``.
-    tail_relative_error: float = math.nan
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form for CI artifacts."""
-        return {
-            "seed": self.seed,
-            "schedule": self.schedule,
-            "completed": self.completed,
-            "error": self.error,
-            "n_shards": self.n_shards,
-            "failovers": self.failovers,
-            "restores": self.restores,
-            "crashes": self.crashes,
-            "journal_replayed": self.journal_replayed,
-            "failover_latencies": [list(x) for x in self.failover_latencies],
-            "max_failover_latency": self.max_failover_latency,
-            "breaker_opens": self.breaker_opens,
-            "rebalance_failures": self.rebalance_failures,
-            "shed_fraction_observed": self.shed_fraction_observed,
-            "failover_shed": self.failover_shed,
-            "incident_counts": dict(self.incident_counts),
-            "incidents": list(self.incidents),
-            "tail_mean": self.tail_mean,
-            "tail_count": self.tail_count,
-            "analytic_t_prime": self.analytic_t_prime,
-            "tail_relative_error": self.tail_relative_error,
-        }
 
 
-@dataclass(frozen=True)
-class ShardChaosSuiteReport:
-    """Aggregate verdict over every seeded fleet chaos run.
+class ShardChaosSuiteReport(_SuiteReport):
+    """Aggregate verdict over every seeded fleet chaos run."""
 
-    Duck-compatible with :func:`dump_chaos_artifacts` (``to_dict``,
-    ``records`` with per-seed ``seed`` / ``incidents``).
-    """
+    _summary = (
+        "total_failovers",
+        "total_restores",
+        "total_crashes",
+        "max_failover_latency",
+    )
 
-    records: tuple[ShardChaosRunRecord, ...]
-    analytic_t_prime: float
-
-    @property
-    def n_runs(self) -> int:
-        """Number of seeded runs in the suite."""
-        return len(self.records)
-
-    @property
-    def all_completed(self) -> bool:
-        """Whether every run finished without an escaped exception."""
-        return all(r.completed for r in self.records)
-
-    @property
-    def failed_seeds(self) -> tuple[int, ...]:
-        """Seeds whose runs raised."""
-        return tuple(r.seed for r in self.records if not r.completed)
-
-    @property
-    def total_failovers(self) -> int:
-        """Dead declarations summed over all runs."""
-        return sum(r.failovers for r in self.records)
-
-    @property
-    def total_restores(self) -> int:
-        """Splice-backs summed over all runs."""
-        return sum(r.restores for r in self.records)
-
-    @property
-    def total_crashes(self) -> int:
-        """Shard crash/restore cycles summed over all runs."""
-        return sum(r.crashes for r in self.records)
-
-    @property
-    def max_failover_latency(self) -> float:
-        """Worst detection latency across the suite (NaN when none)."""
-        latencies = [
-            r.max_failover_latency
-            for r in self.records
-            if not math.isnan(r.max_failover_latency)
-        ]
-        return max(latencies) if latencies else math.nan
-
-    @property
-    def max_shed_fraction(self) -> float:
-        """Worst per-run shed fraction across completed runs."""
-        done = [r.shed_fraction_observed for r in self.records if r.completed]
-        return max(done) if done else math.nan
-
-    @property
-    def tail_means(self) -> np.ndarray:
-        """Post-fault tail means of the completed runs."""
-        return np.array(
-            [r.tail_mean for r in self.records if r.completed], dtype=float
-        )
-
-    def tail_confidence_interval(self, confidence: float = 0.95) -> tuple[float, float]:
-        """Replication CI over the per-seed post-fault tail means."""
-        return _replication_ci(self.tail_means, confidence)
-
-    def reconverged(self, confidence: float = 0.95) -> bool:
-        """Whether the analytic ``T'`` lies inside the replication CI."""
-        lo, hi = self.tail_confidence_interval(confidence)
-        return lo <= self.analytic_t_prime <= hi
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form for CI artifacts."""
-        return {
-            "n_runs": self.n_runs,
-            "all_completed": self.all_completed,
-            "failed_seeds": list(self.failed_seeds),
-            "total_failovers": self.total_failovers,
-            "total_restores": self.total_restores,
-            "total_crashes": self.total_crashes,
-            "max_failover_latency": self.max_failover_latency,
-            "analytic_t_prime": self.analytic_t_prime,
-            "records": [r.to_dict() for r in self.records],
-        }
+    total_failovers = _summed("failovers", "Dead declarations summed over all runs.")
+    total_restores = _summed("restores", "Splice-backs summed over all runs.")
+    total_crashes = _summed(
+        "crashes", "Shard crash/restore cycles summed over all runs."
+    )
+    max_failover_latency = _worst(
+        "max_failover_latency",
+        "Worst detection latency across the suite (NaN when none).",
+    )
+    max_shed_fraction = _worst(
+        "shed_fraction_observed", "Worst per-run shed fraction across completed runs."
+    )
 
     def render(self) -> str:
         """Human-readable per-seed summary table."""
@@ -695,129 +654,74 @@ def run_sharded_chaos(
     from ..shard.partition import ShardConfig, partition_group
     from ..shard.runtime import run_sharded_closed_loop
 
-    if config is None:
-        config = RuntimeConfig(router="alias")
     if shard_config is None:
         shard_config = ShardConfig(shards=4)
-    plan = partition_group(group, shard_config)
-    analytic = dispatch(group, rate, config.discipline).mean_response_time
-    records: list[ShardChaosRunRecord] = []
-    recovery_base = recovery_dir
-    for seed in seeds:
-        if schedule_factory is not None:
-            schedule = schedule_factory(seed)
-        else:
-            schedule = random_fault_schedule(
-                group.n,
-                horizon,
-                seed,
-                quiet_tail=quiet_tail,
-                max_faults=max_faults,
-                allow_cluster_down=False,
-                allow_shard_faults=True,
-                n_shards=plan.n_shards,
-            )
-        fault_plan = FaultPlan(schedule)
-        needs_recovery = any(
-            s.kind != "shard-stall" for s in fault_plan.shard_specs
+    n_shards = partition_group(group, shard_config).n_shards
+
+    def schedule_for(seed: int) -> FaultSchedule:
+        return random_fault_schedule(
+            group.n,
+            horizon,
+            seed,
+            quiet_tail=quiet_tail,
+            max_faults=max_faults,
+            allow_cluster_down=False,
+            allow_shard_faults=True,
+            n_shards=n_shards,
         )
-        run_config = config
-        if needs_recovery and not config.recovery.enabled:
-            if recovery_base is None:
-                recovery_base = tempfile.mkdtemp(prefix="repro-fleet-chaos-")
-            run_config = dataclasses.replace(
-                config,
-                recovery=RecoveryConfig(
-                    enabled=True,
-                    directory=os.path.join(recovery_base, f"seed-{seed}"),
-                ),
-            )
-        try:
-            out = run_sharded_closed_loop(
-                group,
-                RateTrace.constant(rate),
-                run_config,
-                shard_config,
-                horizon=horizon,
-                warmup=0.0,
-                seed=seed,
-                fault_plan=fault_plan,
-                supervisor_config=supervisor_config,
-                collect_tasks=True,
-            )
-        except Exception as exc:  # noqa: BLE001 - the suite must report, not die
-            records.append(
-                ShardChaosRunRecord(
-                    seed=seed,
-                    schedule=schedule.to_dict(),
-                    completed=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                    n_shards=plan.n_shards,
-                    analytic_t_prime=analytic,
-                )
-            )
-            continue
-        fault_end = schedule.last_fault_end
-        pad = settle if settle is not None else 0.3 * (horizon - fault_end)
-        tail_start = min(fault_end + pad, horizon * 0.95)
-        tail = [
-            t.response_time
-            for t in out.sim.task_log
-            if t.task_class.name == "GENERIC" and t.arrival_time >= tail_start
-        ]
-        tail_mean = float(np.mean(tail)) if tail else math.nan
-        supervisor = out.supervisor
+
+    def audit(out, schedule, plan) -> dict:
+        fleet = out.supervisor.metrics
         shed_fraction, failover_shed = _fleet_shed_fraction(out)
-        latencies = _failover_latencies(schedule, supervisor)
-        fleet = supervisor.metrics
-        records.append(
-            ShardChaosRunRecord(
-                seed=seed,
-                schedule=schedule.to_dict(),
-                completed=True,
-                error=None,
-                n_shards=plan.n_shards,
-                failovers=fleet.counters.failovers,
-                restores=fleet.counters.restores,
-                crashes=len(out.restores),
-                journal_replayed=sum(
-                    r.replayed_records for r in out.restores
-                ),
-                failover_latencies=latencies,
-                max_failover_latency=(
-                    max(lat for _, lat in latencies)
-                    if latencies
-                    else math.nan
-                ),
-                breaker_opens=fleet.counters.breaker_opens,
-                rebalance_failures=fleet.counters.rebalance_failures,
-                shed_fraction_observed=shed_fraction,
-                failover_shed=failover_shed,
-                incident_counts=dict(fleet.incidents.counts),
-                incidents=tuple(r.to_dict() for r in fleet.incidents),
-                tail_mean=tail_mean,
-                tail_count=len(tail),
-                analytic_t_prime=analytic,
-                tail_relative_error=(
-                    abs(tail_mean - analytic) / analytic if tail else math.nan
-                ),
-            )
-        )
-    return ShardChaosSuiteReport(records=tuple(records), analytic_t_prime=analytic)
+        latencies = _failover_latencies(schedule, out.supervisor)
+        return {
+            "n_shards": n_shards,
+            "failovers": fleet.counters.failovers,
+            "restores": fleet.counters.restores,
+            "failover_latencies": latencies,
+            "max_failover_latency": max(
+                (lat for _, lat in latencies), default=math.nan
+            ),
+            "breaker_opens": fleet.counters.breaker_opens,
+            "rebalance_failures": fleet.counters.rebalance_failures,
+            "shed_fraction_observed": shed_fraction,
+            "failover_shed": failover_shed,
+            **_incident_fields(fleet.incidents),
+            **_restore_fields(out),
+        }
+
+    return _run_suite(
+        ShardChaosSuiteReport,
+        ShardChaosRunRecord,
+        group,
+        rate,
+        seeds=seeds,
+        horizon=horizon,
+        settle=settle,
+        config=config,
+        runner=run_sharded_closed_loop,
+        schedule_for=schedule_factory if schedule_factory is not None else schedule_for,
+        audit=audit,
+        needs_recovery=lambda plan: any(
+            s.kind != "shard-stall" for s in plan.shard_specs
+        ),
+        recovery_dir=recovery_dir,
+        run_kwargs={
+            "shard_config": shard_config,
+            "supervisor_config": supervisor_config,
+        },
+        failed_fields={"n_shards": n_shards},
+    )
 
 
 @dataclass(frozen=True)
-class OverloadRunRecord:
-    """Audit of one seeded overload run (burst + retrying clients)."""
+class OverloadRunRecord(_RunRecord):
+    """Audit of one seeded overload run (burst + retrying clients).
 
-    #: The seed (drives the sim streams, class draws, and backoff jitter).
-    seed: int
-    #: The schedule the run was subjected to (declarative form).
-    schedule: dict
-    #: Whether the closed loop ran to the horizon without an exception.
-    completed: bool
-    #: The escaped exception, when ``completed`` is False.
-    error: str | None
+    The tail window follows the burst, and ``analytic_t_prime`` is the
+    optimum at the base (fresh-traffic) rate.
+    """
+
     #: Client retries scheduled (timeout duplicates + re-offered sheds).
     retried: int = 0
     #: Client-timeout firings on still-incomplete tasks.
@@ -831,126 +735,41 @@ class OverloadRunRecord:
     shed_by_class: tuple = ()
     #: Shed fraction of priority class 0 over the whole run.
     class0_shed_fraction: float = 0.0
-    #: Fraction of all offered arrivals shed over the whole run.
-    shed_fraction_observed: float = 0.0
     #: Brownout state entries per target state (empty without admission).
     brownout_transitions: dict = field(default_factory=dict)
-    #: Incident totals per kind.
-    incident_counts: dict = field(default_factory=dict)
-    #: Retained incident records (dict form), for artifacts.
-    incidents: tuple = ()
-    #: Mean generic ``T'`` over the post-burst tail window.
-    tail_mean: float = math.nan
-    #: Tasks the tail mean averages over.
-    tail_count: int = 0
-    #: The analytic optimum at the base (fresh-traffic) rate.
-    analytic_t_prime: float = math.nan
-    #: ``|tail_mean - analytic| / analytic``.
-    tail_relative_error: float = math.nan
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form for CI artifacts."""
-        return {
-            "seed": self.seed,
-            "schedule": self.schedule,
-            "completed": self.completed,
-            "error": self.error,
-            "retried": self.retried,
-            "timeouts": self.timeouts,
-            "abandoned": self.abandoned,
-            "offered_by_class": list(self.offered_by_class),
-            "shed_by_class": list(self.shed_by_class),
-            "class0_shed_fraction": self.class0_shed_fraction,
-            "shed_fraction_observed": self.shed_fraction_observed,
-            "brownout_transitions": dict(self.brownout_transitions),
-            "incident_counts": dict(self.incident_counts),
-            "incidents": list(self.incidents),
-            "tail_mean": self.tail_mean,
-            "tail_count": self.tail_count,
-            "analytic_t_prime": self.analytic_t_prime,
-            "tail_relative_error": self.tail_relative_error,
-        }
 
 
-@dataclass(frozen=True)
-class OverloadSuiteReport:
-    """Aggregate verdict over every seeded overload run.
+class OverloadSuiteReport(_SuiteReport):
+    """Aggregate verdict over every seeded overload run."""
 
-    Duck-compatible with :func:`dump_chaos_artifacts` (``to_dict``,
-    ``records`` with per-seed ``seed`` / ``incidents``).
-    """
+    _summary = (
+        "total_retried",
+        "total_timeouts",
+        "total_abandoned",
+        "max_class0_shed_fraction",
+    )
 
-    records: tuple[OverloadRunRecord, ...]
-    analytic_t_prime: float
-
-    @property
-    def n_runs(self) -> int:
-        """Number of seeded runs in the suite."""
-        return len(self.records)
-
-    @property
-    def all_completed(self) -> bool:
-        """Whether every run finished without an escaped exception."""
-        return all(r.completed for r in self.records)
-
-    @property
-    def failed_seeds(self) -> tuple[int, ...]:
-        """Seeds whose runs raised."""
-        return tuple(r.seed for r in self.records if not r.completed)
-
-    @property
-    def total_retried(self) -> int:
-        """Client retries summed over all runs."""
-        return sum(r.retried for r in self.records)
-
-    @property
-    def total_timeouts(self) -> int:
-        """Client-timeout duplicates summed over all runs."""
-        return sum(r.timeouts for r in self.records)
-
-    @property
-    def total_abandoned(self) -> int:
-        """Budget-exhausted abandonments summed over all runs."""
-        return sum(r.abandoned for r in self.records)
-
-    @property
-    def max_class0_shed_fraction(self) -> float:
-        """Worst priority-0 shed fraction across completed runs."""
-        done = [r.class0_shed_fraction for r in self.records if r.completed]
-        return max(done) if done else math.nan
-
-    @property
-    def tail_means(self) -> np.ndarray:
-        """Post-burst tail means of the completed runs."""
-        return np.array(
-            [r.tail_mean for r in self.records if r.completed], dtype=float
-        )
+    total_retried = _summed("retried", "Client retries summed over all runs.")
+    total_timeouts = _summed(
+        "timeouts", "Client-timeout duplicates summed over all runs."
+    )
+    total_abandoned = _summed(
+        "abandoned", "Budget-exhausted abandonments summed over all runs."
+    )
+    max_class0_shed_fraction = _worst(
+        "class0_shed_fraction", "Worst priority-0 shed fraction across completed runs."
+    )
 
     def tail_confidence_interval(
         self, confidence: float = 0.99
     ) -> tuple[float, float]:
         """Replication CI over the per-seed post-burst tail means."""
-        return _replication_ci(self.tail_means, confidence)
+        return super().tail_confidence_interval(confidence)
 
     def recovered(self, confidence: float = 0.99) -> bool:
         """Whether the analytic base-rate ``T'`` lies inside the CI —
         the run *recovered* from the burst instead of going metastable."""
-        lo, hi = self.tail_confidence_interval(confidence)
-        return lo <= self.analytic_t_prime <= hi
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form for CI artifacts."""
-        return {
-            "n_runs": self.n_runs,
-            "all_completed": self.all_completed,
-            "failed_seeds": list(self.failed_seeds),
-            "total_retried": self.total_retried,
-            "total_timeouts": self.total_timeouts,
-            "total_abandoned": self.total_abandoned,
-            "max_class0_shed_fraction": self.max_class0_shed_fraction,
-            "analytic_t_prime": self.analytic_t_prime,
-            "records": [r.to_dict() for r in self.records],
-        }
+        return self.reconverged(confidence)
 
     def render(self) -> str:
         """Human-readable per-seed summary table."""
@@ -1049,101 +868,61 @@ def run_overload_chaos(
         Time after the last fault window before the recovery tail
         starts; defaults to 30% of the post-fault stretch.
     """
-    if config is None:
-        config = RuntimeConfig(router="alias")
     start = 0.15 * horizon if burst_at is None else burst_at
-    duration = 0.15 * horizon if burst_duration is None else burst_duration
-    analytic = dispatch(group, rate, config.discipline).mean_response_time
-    records: list[OverloadRunRecord] = []
-    for seed in seeds:
-        if schedule_factory is not None:
-            schedule = schedule_factory(seed)
-        else:
-            specs = [
-                FaultSpec(
-                    kind="burst-overload",
-                    start=start,
-                    end=start + duration,
-                    params={"factor": burst_factor},
-                )
-            ]
-            if retry_storm:
-                specs.append(
-                    FaultSpec(
-                        kind="retry-storm",
-                        start=start,
-                        end=start + duration,
-                        params={"backoff_scale": 0.1},
-                    )
-                )
-            schedule = FaultSchedule(specs, seed=seed)
-        trace = compile_overload_trace(rate, schedule)
-        plan = FaultPlan(schedule)
-        try:
-            out = run_closed_loop(
-                group,
-                trace,
-                config,
-                horizon=horizon,
-                warmup=0.0,
-                seed=seed,
-                fault_plan=plan,
-                collect_tasks=True,
-                workload=workload,
+    end = start + (0.15 * horizon if burst_duration is None else burst_duration)
+
+    def schedule_for(seed: int) -> FaultSchedule:
+        specs = [
+            FaultSpec(
+                kind="burst-overload",
+                start=start,
+                end=end,
+                params={"factor": burst_factor},
             )
-        except Exception as exc:  # noqa: BLE001 - the suite must report, not die
-            records.append(
-                OverloadRunRecord(
-                    seed=seed,
-                    schedule=schedule.to_dict(),
-                    completed=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                    analytic_t_prime=analytic,
-                )
-            )
-            continue
-        fault_end = schedule.last_fault_end
-        pad = settle if settle is not None else 0.3 * (horizon - fault_end)
-        tail_start = min(fault_end + pad, horizon * 0.95)
-        tail = [
-            t.response_time
-            for t in out.sim.task_log
-            if t.task_class.name == "GENERIC" and t.arrival_time >= tail_start
         ]
-        tail_mean = float(np.mean(tail)) if tail else math.nan
+        if retry_storm:
+            specs.append(
+                FaultSpec(
+                    kind="retry-storm",
+                    start=start,
+                    end=end,
+                    params={"backoff_scale": 0.1},
+                )
+            )
+        return FaultSchedule(specs, seed=seed)
+
+    def audit(out, schedule, plan) -> dict:
         sim = out.sim
         offered = tuple(int(v) for v in sim.offered_by_class)
         shed = tuple(int(v) for v in sim.shed_by_class)
         cls0_offered = offered[0] if offered else 0
-        cls0_shed = shed[0] if shed else 0
         metrics = out.metrics
-        records.append(
-            OverloadRunRecord(
-                seed=seed,
-                schedule=schedule.to_dict(),
-                completed=True,
-                error=None,
-                retried=sim.generic_retried,
-                timeouts=sim.generic_timeouts,
-                abandoned=sim.generic_abandoned,
-                offered_by_class=offered,
-                shed_by_class=shed,
-                class0_shed_fraction=(
-                    cls0_shed / cls0_offered if cls0_offered else 0.0
-                ),
-                shed_fraction_observed=metrics.shed_fraction_observed,
-                brownout_transitions=dict(metrics.admission.transitions),
-                incident_counts=dict(metrics.incidents.counts),
-                incidents=tuple(r.to_dict() for r in metrics.incidents),
-                tail_mean=tail_mean,
-                tail_count=len(tail),
-                analytic_t_prime=analytic,
-                tail_relative_error=(
-                    abs(tail_mean - analytic) / analytic if tail else math.nan
-                ),
-            )
-        )
-    return OverloadSuiteReport(records=tuple(records), analytic_t_prime=analytic)
+        return {
+            "retried": sim.generic_retried,
+            "timeouts": sim.generic_timeouts,
+            "abandoned": sim.generic_abandoned,
+            "offered_by_class": offered,
+            "shed_by_class": shed,
+            "class0_shed_fraction": shed[0] / cls0_offered if cls0_offered else 0.0,
+            "shed_fraction_observed": metrics.shed_fraction_observed,
+            "brownout_transitions": dict(metrics.admission.transitions),
+            **_incident_fields(metrics.incidents),
+        }
+
+    return _run_suite(
+        OverloadSuiteReport,
+        OverloadRunRecord,
+        group,
+        rate,
+        seeds=seeds,
+        horizon=horizon,
+        settle=settle,
+        config=config,
+        schedule_for=schedule_factory if schedule_factory is not None else schedule_for,
+        audit=audit,
+        trace_for=lambda schedule: compile_overload_trace(rate, schedule),
+        run_kwargs={"workload": workload},
+    )
 
 
 def dump_chaos_artifacts(report: ChaosSuiteReport, directory: str) -> list[str]:

@@ -18,7 +18,9 @@ a production control loop needs when those assumptions break:
   probe decides between closing and re-opening.  A health-fingerprint
   change while pinned invalidates the pin — the supervisor rebuilds a
   safe proportional split for the new topology instead of routing to a
-  dead server.
+  dead server.  Retries, backoff and breaker are one :class:`Breaker`,
+  the state machine the fleet's
+  :class:`~repro.shard.supervisor.ShardSupervisor` also uses.
 * **Invariant watchdog** — every outcome is checked before it can
   reach the router: weights normalized, exactly zero on down servers,
   every active server's total utilization under the ρ-cap.  A
@@ -48,10 +50,11 @@ from ..core.server import BladeServerGroup
 from ..obs import ConfigBase, get_obs
 from ..runtime.controller import ResolveController, ResolveOutcome
 from ..runtime.health import HealthTracker
-from ..runtime.metrics import IncidentRecord, RuntimeMetrics
+from ..runtime.metrics import RuntimeMetrics
 
 
 __all__ = [
+    "Breaker",
     "SupervisorConfig",
     "SupervisedOutcome",
     "proportional_split",
@@ -66,15 +69,117 @@ def _deep_tuple(value):
     return value
 
 
-def _breaker_transition(to: str) -> None:
-    """Record a circuit-breaker state change when observability is on."""
-    o = get_obs()
-    if o.enabled:
-        o.registry.counter(
-            "repro_breaker_transitions_total",
-            "Circuit-breaker state transitions",
-            labels=("to",),
-        ).labels(to=to).inc()
+class Breaker:
+    """Retry budget, backoff window and circuit breaker of one supervisor.
+
+    The one state machine behind both :class:`ResilienceSupervisor` and
+    :class:`~repro.shard.supervisor.ShardSupervisor`.  ``config`` is any
+    config carrying the four shared knobs (``retries``, ``backoff``,
+    ``breaker_threshold``, ``breaker_cooldown``).  Each decision asks
+    :meth:`admit` once, makes up to :meth:`attempts` primary attempts,
+    and reports the outcome with :meth:`succeed` or :meth:`fail`.  What a
+    caller does outside the primary (fallback chain, degraded shares),
+    and which transitions it counts, stays with the caller.
+    """
+
+    __slots__ = ("config", "_consecutive", "_blocked_until", "_open_until")
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self._consecutive = 0
+        self._blocked_until = -math.inf
+        self._open_until: float | None = None  # not None = breaker open
+
+    @staticmethod
+    def check_config(config) -> None:
+        """Validate the four breaker knobs of ``config``."""
+        if config.retries < 0:
+            raise ParameterError(f"retries must be >= 0, got {config.retries}")
+        if not (math.isfinite(config.backoff) and config.backoff >= 0.0):
+            raise ParameterError(
+                f"backoff must be finite and >= 0, got {config.backoff!r}"
+            )
+        if config.breaker_threshold < 1:
+            raise ParameterError(
+                f"breaker_threshold must be >= 1, got {config.breaker_threshold}"
+            )
+        if not (
+            math.isfinite(config.breaker_cooldown) and config.breaker_cooldown > 0.0
+        ):
+            raise ParameterError(
+                "breaker_cooldown must be finite and > 0, "
+                f"got {config.breaker_cooldown!r}"
+            )
+
+    @property
+    def is_open(self) -> bool:
+        """Whether the breaker is open (cooling down or awaiting a probe)."""
+        return self._open_until is not None
+
+    @property
+    def open_until(self) -> float | None:
+        """End of the current cooldown (``None`` when closed)."""
+        return self._open_until
+
+    @property
+    def consecutive_failures(self) -> int:
+        """Decisions in a row whose primary attempts all failed."""
+        return self._consecutive
+
+    def admit(self, now: float) -> str:
+        """How the decision at ``now`` may use the primary.
+
+        ``"open"``: cooling down, no attempt.  ``"probe"``: the cooldown
+        has elapsed, one half-open attempt.  ``"blocked"``: closed but
+        inside the backoff window, no attempt.  ``"closed"``: normal.
+        """
+        if self._open_until is not None:
+            return "open" if now < self._open_until else "probe"
+        return "blocked" if now < self._blocked_until else "closed"
+
+    def attempts(self, state: str) -> int:
+        """Primary attempts allowed in ``state`` (a probe gets one)."""
+        return 1 if state == "probe" else 1 + self.config.retries
+
+    def succeed(self) -> bool:
+        """Record a primary success; returns whether it closed the breaker."""
+        was_open = self._open_until is not None
+        self._consecutive = 0
+        self._blocked_until = -math.inf
+        self._open_until = None
+        return was_open
+
+    def fail(self, now: float) -> str | None:
+        """Record a decision whose primary attempts all failed.
+
+        Starts the backoff window.  Returns ``"reopened"`` when a
+        half-open probe failed, ``"opened"`` when this failure reached
+        the threshold of a closed breaker, and ``None`` otherwise.
+        """
+        self._consecutive += 1
+        self._blocked_until = now + self.config.backoff
+        if self._open_until is not None:
+            self._open_until = now + self.config.breaker_cooldown
+            return "reopened"
+        if self._consecutive >= self.config.breaker_threshold:
+            self._open_until = now + self.config.breaker_cooldown
+            return "opened"
+        return None
+
+    def state_dict(self) -> dict:
+        """JSON-safe snapshot (keys as in the resilience checkpoint)."""
+        return {
+            "consecutive_primary_failures": self._consecutive,
+            "primary_blocked_until": self._blocked_until,
+            "open_until": self._open_until,
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot, deadlines included."""
+        self._consecutive = int(state["consecutive_primary_failures"])
+        self._blocked_until = float(state["primary_blocked_until"])
+        until = state["open_until"]
+        self._open_until = None if until is None else float(until)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -117,18 +222,7 @@ class SupervisorConfig(ConfigBase):
     watchdog: bool = True
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ParameterError(f"retries must be >= 0, got {self.retries}")
-        if not (math.isfinite(self.backoff) and self.backoff >= 0.0):
-            raise ParameterError(f"backoff must be finite and >= 0, got {self.backoff!r}")
-        if self.breaker_threshold < 1:
-            raise ParameterError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
-        if not (math.isfinite(self.breaker_cooldown) and self.breaker_cooldown > 0.0):
-            raise ParameterError(
-                f"breaker_cooldown must be finite and > 0, got {self.breaker_cooldown!r}"
-            )
+        Breaker.check_config(self)
         if not (0.0 < self.rho_cap < 1.0):
             raise ParameterError(f"rho_cap must be in (0, 1), got {self.rho_cap!r}")
 
@@ -245,9 +339,7 @@ class ResilienceSupervisor:
         self.health = health
         self.metrics = metrics
         self.config = config
-        self._consecutive_primary_failures = 0
-        self._primary_blocked_until = -math.inf
-        self._open_until: float | None = None  # not None = breaker open
+        self._breaker = Breaker(config)
         self._last_good: _PinnedSplit | None = None
         self.metrics.circuit_state = "closed"
         #: Optional callback ``(now, to_state)`` invoked at every breaker
@@ -255,25 +347,25 @@ class ResilienceSupervisor:
         #: hooks this to journal transitions in the write-ahead log.
         self.transition_listener = None
 
-    def _notify_transition(self, now: float, to: str) -> None:
+    def _transition(self, now: float, to: str) -> None:
+        """Enter breaker state ``to``: gauge, obs counter, listener."""
+        self.metrics.circuit_state = to
+        o = get_obs()
+        if o.enabled:
+            o.registry.counter(
+                "repro_breaker_transitions_total",
+                "Circuit-breaker state transitions",
+                labels=("to",),
+            ).labels(to=to).inc()
         if self.transition_listener is not None:
             self.transition_listener(now, to)
-
-    # -- incident plumbing -------------------------------------------------------------
-
-    def _incident(
-        self, now: float, kind: str, severity: str, detail: str, **data
-    ) -> None:
-        self.metrics.incidents.emit(
-            IncidentRecord(time=now, kind=kind, severity=severity, detail=detail, data=data)
-        )
 
     # -- outcome builders --------------------------------------------------------------
 
     def _shed_all(self, now: float, offered_rate: float) -> SupervisedOutcome:
         self.metrics.counters.cluster_down_events += 1
         self.metrics.fallback_depth.record("cluster-down", self._chain_length() + 1)
-        self._incident(
+        self.metrics.incidents.note(
             now,
             "cluster-down",
             "critical",
@@ -365,7 +457,7 @@ class ResilienceSupervisor:
         # solver-free split for the current topology and re-pin it.
         outcome = self._proportional(now, offered_rate, ["circuit open; pin stale"])
         self.metrics.fallback_depth.record(outcome.source, outcome.depth)
-        self._incident(
+        self.metrics.incidents.note(
             now,
             "fallback",
             "warning",
@@ -376,30 +468,26 @@ class ResilienceSupervisor:
         return outcome
 
     def _open_circuit(self, now: float) -> None:
-        self._open_until = now + self.config.breaker_cooldown
+        breaker = self._breaker
         self.metrics.counters.circuit_opens += 1
-        self.metrics.circuit_state = "open"
-        _breaker_transition("open")
-        self._notify_transition(now, "open")
-        self._incident(
+        self._transition(now, "open")
+        self.metrics.incidents.note(
             now,
             "circuit-open",
             "critical",
-            f"{self._consecutive_primary_failures} consecutive primary solver "
+            f"{breaker.consecutive_failures} consecutive primary solver "
             f"failures; pinning last-known-good split for "
             f"{self.config.breaker_cooldown:g} time units",
-            consecutive_failures=self._consecutive_primary_failures,
-            open_until=self._open_until,
+            consecutive_failures=breaker.consecutive_failures,
+            open_until=breaker.open_until,
         )
 
     def _close_circuit(self, now: float) -> None:
-        self._open_until = None
-        self._consecutive_primary_failures = 0
         self.metrics.counters.circuit_closes += 1
-        self.metrics.circuit_state = "closed"
-        _breaker_transition("closed")
-        self._notify_transition(now, "closed")
-        self._incident(now, "circuit-close", "info", "half-open probe succeeded")
+        self._transition(now, "closed")
+        self.metrics.incidents.note(
+            now, "circuit-close", "info", "half-open probe succeeded"
+        )
 
     # -- durable state -----------------------------------------------------------------
 
@@ -414,9 +502,7 @@ class ResilienceSupervisor:
         """
         pin = self._last_good
         return {
-            "consecutive_primary_failures": self._consecutive_primary_failures,
-            "primary_blocked_until": self._primary_blocked_until,
-            "open_until": self._open_until,
+            **self._breaker.state_dict(),
             "last_good": None
             if pin is None
             else {
@@ -437,12 +523,7 @@ class ResilienceSupervisor:
         reset the cooldown and hammer a solver that was failing moments
         before the crash.
         """
-        self._consecutive_primary_failures = int(
-            state["consecutive_primary_failures"]
-        )
-        self._primary_blocked_until = float(state["primary_blocked_until"])
-        until = state["open_until"]
-        self._open_until = None if until is None else float(until)
+        self._breaker.load_state(state)
         pin = state["last_good"]
         if pin is None:
             self._last_good = None
@@ -497,18 +578,14 @@ class ResilienceSupervisor:
             self._last_good = None  # any pin predates the dark cluster
             return outcome
 
-        probing = False
-        if self._open_until is not None:
-            if now < self._open_until:
-                return self._serve_pinned(now, offered_rate)
-            # Cooldown elapsed: one half-open probe of the primary.
-            probing = True
-            self.metrics.circuit_state = "half-open"
-            _breaker_transition("half-open")
-            self._notify_transition(now, "half-open")
+        state = self._breaker.admit(now)
+        if state == "open":
+            return self._serve_pinned(now, offered_rate)
+        if state == "probe":
+            self._transition(now, "half-open")
 
         failures: list[str] = []
-        outcome = self._attempt_chain(now, offered_rate, failures, probing)
+        outcome = self._attempt_chain(now, offered_rate, failures, state)
         if self.config.watchdog:
             outcome = self._enforce_invariants(now, offered_rate, outcome)
         if outcome.source != "cluster-down":
@@ -516,15 +593,14 @@ class ResilienceSupervisor:
         return outcome
 
     def _attempt_chain(
-        self, now: float, offered_rate: float, failures: list[str], probing: bool
+        self, now: float, offered_rate: float, failures: list[str], state: str
     ) -> SupervisedOutcome:
         cfg = self.config
-        primary_allowed = probing or now >= self._primary_blocked_until
+        primary_allowed = state != "blocked"
         primary_failed = False
 
         if primary_allowed:
-            attempts = 1 if probing else 1 + cfg.retries
-            for _ in range(attempts):
+            for _ in range(self._breaker.attempts(state)):
                 try:
                     outcome = self.controller.resolve(offered_rate)
                 except ClusterDownError:
@@ -533,7 +609,7 @@ class ResilienceSupervisor:
                     primary_failed = True
                     failures.append(f"primary: {exc}")
                     self.metrics.counters.resolve_failures += 1
-                    self._incident(
+                    self.metrics.incidents.note(
                         now,
                         "solver-failure",
                         "warning",
@@ -541,18 +617,12 @@ class ResilienceSupervisor:
                         rung="primary",
                     )
                 else:
-                    if probing:
+                    if self._breaker.succeed():
                         self._close_circuit(now)
-                    self._consecutive_primary_failures = 0
                     self.metrics.fallback_depth.record("primary", 0)
                     return self._from_controller(outcome, "primary", 0, failures)
-            # All primary attempts failed.
-            self._consecutive_primary_failures += 1
-            self._primary_blocked_until = now + cfg.backoff
-            if probing:
-                # Probe failed: re-open for another cooldown.
-                self._open_circuit(now)
-            elif self._consecutive_primary_failures >= cfg.breaker_threshold:
+            # All primary attempts failed; a failed probe re-opens.
+            if self._breaker.fail(now) is not None:
                 self._open_circuit(now)
 
         if primary_failed or not primary_allowed:
@@ -566,7 +636,7 @@ class ResilienceSupervisor:
             except Exception as exc:  # noqa: BLE001
                 failures.append(f"{method}: {exc}")
                 self.metrics.counters.resolve_failures += 1
-                self._incident(
+                self.metrics.incidents.note(
                     now,
                     "solver-failure",
                     "warning",
@@ -576,7 +646,7 @@ class ResilienceSupervisor:
             else:
                 source = f"fallback:{method}"
                 self.metrics.fallback_depth.record(source, rung)
-                self._incident(
+                self.metrics.incidents.note(
                     now,
                     "fallback",
                     "warning",
@@ -591,7 +661,7 @@ class ResilienceSupervisor:
         except ClusterDownError:
             return self._shed_all(now, offered_rate)
         self.metrics.fallback_depth.record(outcome.source, outcome.depth)
-        self._incident(
+        self.metrics.incidents.note(
             now,
             "fallback",
             "warning",
@@ -640,7 +710,7 @@ class ResilienceSupervisor:
         if not violations:
             return outcome
         self.metrics.counters.watchdog_violations += 1
-        self._incident(
+        self.metrics.incidents.note(
             now,
             "invariant-violation",
             "critical",

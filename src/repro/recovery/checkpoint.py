@@ -53,7 +53,10 @@ __all__ = [
 #: ``admission`` section (the controller's bucket/AQM/brownout state);
 #: route records may carry ``cls``/``att`` and completion records
 #: ``rt`` when admission is enabled.
-SCHEMA_VERSION = 3
+#: v4: the response-time histogram moved into the metrics registry
+#: snapshot (family ``runtime_response_time``); the separate
+#: ``metrics.response_histogram`` key is gone.  Journals are unchanged.
+SCHEMA_VERSION = 4
 
 _CHECKPOINT_PREFIX = "checkpoint-"
 _CHECKPOINT_SUFFIX = ".json"

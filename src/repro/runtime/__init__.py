@@ -55,7 +55,6 @@ from .metrics import (
     FallbackDepthCounters,
     IncidentLog,
     IncidentRecord,
-    LogHistogram,
     RateGauges,
     RuntimeCounters,
     RuntimeMetrics,
@@ -90,7 +89,6 @@ __all__ = [
     "IncidentRecord",
     "JoinIdleQueueRouter",
     "LoadDistributionRuntime",
-    "LogHistogram",
     "OptimalPriorPowerOfDRouter",
     "RateEstimator",
     "RateGauges",

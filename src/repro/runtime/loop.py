@@ -42,7 +42,7 @@ from .admission import AdmissionConfig, AdmissionController
 from .controller import ResolveController
 from .estimator import DriftDetector, EwmaRateEstimator, SlidingWindowRateEstimator
 from .health import HealthTracker
-from .metrics import IncidentRecord, RuntimeMetrics
+from .metrics import RuntimeMetrics
 from .policies import RoutingConfig, build_router, router_spec
 
 __all__ = [
@@ -407,25 +407,21 @@ class LoadDistributionRuntime:
             self.metrics.counters.adoptions += 1
             self.metrics.shed.update(now, shed)
             if shed > 0.0 and previous_shed == 0.0:
-                self.metrics.incidents.emit(
-                    IncidentRecord(
-                        time=now,
-                        kind="shed-start",
-                        severity="warning",
-                        detail=f"admission control engaged: shedding {shed:.4g} "
-                        f"of offered load",
-                        data={"fraction": shed, "reason": reason},
-                    )
+                self.metrics.incidents.note(
+                    now,
+                    "shed-start",
+                    "warning",
+                    f"admission control engaged: shedding {shed:.4g} of offered load",
+                    fraction=shed,
+                    reason=reason,
                 )
             elif shed == 0.0 and previous_shed > 0.0:
-                self.metrics.incidents.emit(
-                    IncidentRecord(
-                        time=now,
-                        kind="shed-stop",
-                        severity="info",
-                        detail="admission control disengaged: full load admitted",
-                        data={"reason": reason},
-                    )
+                self.metrics.incidents.note(
+                    now,
+                    "shed-stop",
+                    "info",
+                    "admission control disengaged: full load admitted",
+                    reason=reason,
                 )
         else:
             self.metrics.counters.hysteresis_skips += 1
@@ -613,14 +609,12 @@ class LoadDistributionRuntime:
         """Convert pending brownout transitions into incident records."""
         for t, previous, state in self._admission.drain_transitions():
             self.metrics.admission.transition(state)
-            self.metrics.incidents.emit(
-                IncidentRecord(
-                    time=t,
-                    kind="brownout-transition",
-                    severity="info" if state == "normal" else "warning",
-                    detail=f"admission brownout state {previous} -> {state}",
-                    data={"from": previous, "to": state},
-                )
+            self.metrics.incidents.note(
+                t,
+                "brownout-transition",
+                "info" if state == "normal" else "warning",
+                f"admission brownout state {previous} -> {state}",
+                **{"from": previous, "to": state},
             )
 
     def observe_completion(

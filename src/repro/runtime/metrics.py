@@ -5,8 +5,9 @@ both the simulation harness and any future metrics endpoint (Prometheus,
 CSV, logging) consume the same objects.  Everything here is *observed*
 by the runtime's hot path, so the accumulators are O(1) per event.
 
-The incident, fallback-depth, and shed accumulators are backed by a
-per-instance :class:`repro.obs.MetricsRegistry` (see
+The incident, fallback-depth, shed, and admission accumulators and the
+response-time histogram are backed by a per-instance
+:class:`repro.obs.MetricsRegistry` (see
 :attr:`RuntimeMetrics.registry`): the historical attribute surface
 (``incidents.counts``, ``fallback_depth.by_source``, ``shed.events``,
 ...) is preserved as property shims over the registry families, and
@@ -21,13 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.exceptions import ParameterError, SimulationError
-from ..obs import MetricsRegistry
+from ..core.exceptions import ParameterError
+from ..obs import Histogram, MetricsRegistry
 from ..sim.stats import RunningStats
 
 __all__ = [
     "RuntimeCounters",
-    "LogHistogram",
     "RateGauges",
     "IncidentRecord",
     "IncidentLog",
@@ -71,7 +71,7 @@ class RuntimeCounters:
     #: Controller decisions answered by a fallback rung instead of the
     #: primary backend.
     fallback_resolves: int = 0
-    #: Circuit-breaker transitions closed -> open.
+    #: Circuit-breaker openings, re-opens after a failed probe included.
     circuit_opens: int = 0
     #: Circuit-breaker transitions back to closed (successful probe).
     circuit_closes: int = 0
@@ -83,67 +83,6 @@ class RuntimeCounters:
     #: Invariant-watchdog violations detected (each one also produces
     #: an incident record and a repaired, safe split).
     watchdog_violations: int = 0
-
-
-class LogHistogram:
-    """Fixed-layout histogram with logarithmically spaced bins.
-
-    Response times span orders of magnitude as utilization climbs, so
-    log-spaced bins keep relative resolution constant.  Values below
-    the first edge land in an underflow bin, values at or above the
-    last edge in an overflow bin.
-    """
-
-    def __init__(self, lo: float = 1e-3, hi: float = 1e3, bins: int = 60) -> None:
-        if not (0.0 < lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ParameterError(f"need 0 < lo < hi finite, got {lo}, {hi}")
-        if bins < 1:
-            raise ParameterError(f"bins must be >= 1, got {bins}")
-        #: Bin edges, length ``bins + 1``.
-        self.edges = np.logspace(math.log10(lo), math.log10(hi), bins + 1)
-        #: Counts, length ``bins + 2`` (underflow first, overflow last).
-        self.counts = np.zeros(bins + 2, dtype=np.int64)
-
-    @property
-    def total(self) -> int:
-        """Number of recorded observations."""
-        return int(self.counts.sum())
-
-    def add(self, value: float) -> None:
-        """Record one observation."""
-        self.counts[int(np.searchsorted(self.edges, value, side="right"))] += 1
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot (edges carried for layout verification)."""
-        return {
-            "edges": [float(e) for e in self.edges],
-            "counts": [int(c) for c in self.counts],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot into a same-layout histogram."""
-        edges = np.asarray(state["edges"], dtype=float)
-        if edges.shape != self.edges.shape or not np.array_equal(edges, self.edges):
-            raise ParameterError("histogram bin layout changed; cannot restore")
-        self.counts = np.asarray(state["counts"], dtype=np.int64)
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from the bin counts.
-
-        Returns the upper edge of the bin containing the ``q``-th
-        observation (a conservative estimate; resolution is one bin).
-        """
-        if not (0.0 < q < 1.0):
-            raise ParameterError(f"q must be in (0,1), got {q}")
-        total = self.total
-        if total == 0:
-            raise SimulationError("quantile of an empty histogram")
-        target = q * total
-        cum = np.cumsum(self.counts)
-        k = int(np.searchsorted(cum, target, side="left"))
-        if k == 0:
-            return float(self.edges[0])
-        return float(self.edges[min(k, len(self.edges) - 1)])
 
 
 class RateGauges:
@@ -302,6 +241,12 @@ class IncidentLog:
             del self._records[0]
         self._counts.labels(kind=record.kind).inc()
         return record
+
+    def note(
+        self, time: float, kind: str, severity: str, detail: str, **data
+    ) -> IncidentRecord:
+        """Build and :meth:`emit` one record; ``data`` is its payload."""
+        return self.emit(IncidentRecord(time, kind, severity, detail, data))
 
     def of_kind(self, kind: str) -> tuple[IncidentRecord, ...]:
         """The retained records of one kind, oldest first."""
@@ -509,7 +454,8 @@ class RuntimeMetrics:
     response_time:
         Welford accumulator over observed generic response times.
     response_histogram:
-        Log-binned histogram of the same observations (tail queries).
+        Log-binned histogram of the same observations (tail queries):
+        the ``runtime_response_time`` family of :attr:`registry`.
     incidents:
         Bounded log of structured resilience incidents.
     fallback_depth:
@@ -520,10 +466,11 @@ class RuntimeMetrics:
         Per-decision admission counters and brownout-transition totals
         (all zero when ``RuntimeConfig.admission`` is off).
     registry:
-        The per-instance metrics registry the incident/fallback/shed
-        accumulators record into.  Per instance, not the process-global
-        :func:`repro.obs.get_obs` registry, so concurrent runs (e.g.
-        the multi-seed chaos suite) never contaminate each other.
+        The per-instance metrics registry the incident/fallback/shed/
+        admission accumulators and the response histogram record into.
+        Per instance, not the process-global :func:`repro.obs.get_obs`
+        registry, so concurrent runs (e.g. the multi-seed chaos suite)
+        never contaminate each other.
     circuit_state:
         The supervisor's circuit-breaker state gauge (``"closed"``,
         ``"open"``, or ``"half-open"``); stays ``"closed"`` when no
@@ -534,32 +481,38 @@ class RuntimeMetrics:
     routed: RateGauges
     resolve_latency: RunningStats = field(default_factory=RunningStats)
     response_time: RunningStats = field(default_factory=RunningStats)
-    response_histogram: LogHistogram = field(default_factory=LogHistogram)
-    incidents: IncidentLog = field(default_factory=IncidentLog)
-    fallback_depth: FallbackDepthCounters = field(default_factory=FallbackDepthCounters)
-    shed: ShedTracker = field(default_factory=ShedTracker)
-    admission: AdmissionTracker = field(default_factory=AdmissionTracker)
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     circuit_state: str = "closed"
+    response_histogram: Histogram = field(init=False)
+    incidents: IncidentLog = field(init=False)
+    fallback_depth: FallbackDepthCounters = field(init=False)
+    shed: ShedTracker = field(init=False)
+    admission: AdmissionTracker = field(init=False)
+
+    def __post_init__(self) -> None:
+        # Every registry-backed accumulator records into ``registry``.
+        reg = self.registry
+        self.incidents = IncidentLog(registry=reg)
+        self.fallback_depth = FallbackDepthCounters(registry=reg)
+        self.shed = ShedTracker(registry=reg)
+        self.admission = AdmissionTracker(registry=reg)
+        self.response_histogram = reg.histogram(
+            "runtime_response_time",
+            "Observed generic response times (simulated time units)",
+            lo=1e-3,
+            hi=1e3,
+            buckets=60,
+        ).child
 
     @classmethod
     def for_group_size(cls, n: int) -> "RuntimeMetrics":
-        """Fresh metrics for an ``n``-server group, on one shared registry."""
-        registry = MetricsRegistry()
-        return cls(
-            counters=RuntimeCounters(),
-            routed=RateGauges(n),
-            incidents=IncidentLog(registry=registry),
-            fallback_depth=FallbackDepthCounters(registry=registry),
-            shed=ShedTracker(registry=registry),
-            admission=AdmissionTracker(registry=registry),
-            registry=registry,
-        )
+        """Fresh metrics for an ``n``-server group."""
+        return cls(counters=RuntimeCounters(), routed=RateGauges(n))
 
     def on_response(self, response_time: float) -> None:
         """Record one completed generic task's response time."""
         self.response_time.add(response_time)
-        self.response_histogram.add(response_time)
+        self.response_histogram.observe(response_time)
 
     def state_dict(self) -> dict:
         """JSON-safe snapshot of the full metric set (lossless)."""
@@ -570,7 +523,6 @@ class RuntimeMetrics:
             "routed": self.routed.state_dict(),
             "resolve_latency": self.resolve_latency.state_dict(),
             "response_time": self.response_time.state_dict(),
-            "response_histogram": self.response_histogram.state_dict(),
             "incidents": [r.to_dict() for r in self.incidents.records],
             "shed_since": self.shed.since,
             "circuit_state": self.circuit_state,
@@ -582,8 +534,9 @@ class RuntimeMetrics:
         """Restore a :meth:`state_dict` snapshot.
 
         The registry snapshot is restored first so the incident /
-        fallback / shed totals (registry-backed counters and gauges)
-        land before the plain accumulators are overwritten.
+        fallback / shed totals and the response histogram (registry-
+        backed families) land before the plain accumulators are
+        overwritten.
         """
         self.registry.restore_snapshot(state["registry"])
         counters = state["counters"]
@@ -592,7 +545,6 @@ class RuntimeMetrics:
         self.routed.load_state(state["routed"])
         self.resolve_latency.load_state(state["resolve_latency"])
         self.response_time.load_state(state["response_time"])
-        self.response_histogram.load_state(state["response_histogram"])
         self.incidents.load_records(state["incidents"])
         self.shed.since = float(state["shed_since"])
         self.circuit_state = str(state["circuit_state"])
@@ -665,13 +617,10 @@ class FleetMetrics:
     """
 
     counters: FleetCounters = field(default_factory=FleetCounters)
-    incidents: IncidentLog = field(default_factory=IncidentLog)
     rebalance_latency: RunningStats = field(default_factory=RunningStats)
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     degraded: int = 0
+    incidents: IncidentLog = field(init=False)
 
-    @classmethod
-    def create(cls) -> "FleetMetrics":
-        """Fresh fleet metrics on one shared per-instance registry."""
-        registry = MetricsRegistry()
-        return cls(incidents=IncidentLog(registry=registry), registry=registry)
+    def __post_init__(self) -> None:
+        self.incidents = IncidentLog(registry=self.registry)

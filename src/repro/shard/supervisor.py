@@ -15,8 +15,9 @@ open above the shards:
 
 ``tick(now)``
     Wraps :meth:`~repro.shard.runtime.ShardedDispatcher.rebalance` with
-    bounded retries, simulated-time backoff, and a circuit breaker
-    whose fallback is the *last known good shares* masked to the live
+    bounded retries, simulated-time backoff, and a circuit breaker (the
+    :class:`~repro.faults.supervisor.Breaker` the single-dispatcher
+    supervisor uses) whose fallback is the *last known good shares* masked to the live
     shards — a failed global solve degrades the fleet to its previous
     split instead of killing the loop.  While the breaker is open,
     ticks skip the solver entirely; after ``breaker_cooldown`` one
@@ -57,8 +58,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.exceptions import ParameterError, ReproError
+from ..faults.supervisor import Breaker
 from ..obs import ConfigBase, get_obs
-from ..runtime.metrics import FleetMetrics, IncidentRecord
+from ..runtime.metrics import FleetMetrics
 from .runtime import ShardedDispatcher
 
 __all__ = ["ShardSupervisorConfig", "ShardSupervisor"]
@@ -113,14 +115,7 @@ class ShardSupervisorConfig(ConfigBase):
             raise ParameterError(
                 f"min_share must be in [0, 1), got {self.min_share!r}"
             )
-        if self.retries < 0:
-            raise ParameterError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff < 0.0 or self.breaker_cooldown < 0.0:
-            raise ParameterError("backoff and breaker_cooldown must be >= 0")
-        if self.breaker_threshold < 1:
-            raise ParameterError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
+        Breaker.check_config(self)
 
 
 class ShardSupervisor:
@@ -146,7 +141,7 @@ class ShardSupervisor:
     ) -> None:
         self.dispatcher = dispatcher
         self.config = config
-        self.metrics = FleetMetrics.create()
+        self.metrics = FleetMetrics()
         n = dispatcher.plan.n_shards
         #: The supervisor's belief about shard liveness — lags the
         #: dispatcher's ground truth by detection latency, on purpose:
@@ -154,9 +149,7 @@ class ShardSupervisor:
         self._live = np.ones(n, dtype=bool)
         self._last_completions = np.zeros(n, dtype=np.int64)
         self._suspicion = np.zeros(n, dtype=np.int64)
-        self._consecutive_failures = 0
-        self._blocked_until = -np.inf
-        self._open_until: float | None = None
+        self._breaker = Breaker(config)
         self._last_good_shares = dispatcher.shares
         self.failovers: list[tuple[float, int]] = []
         self.restore_log: list[tuple[float, int]] = []
@@ -173,7 +166,7 @@ class ShardSupervisor:
     @property
     def breaker_open(self) -> bool:
         """Whether the coordinator circuit breaker is currently open."""
-        return self._open_until is not None
+        return self._breaker.is_open
 
     # -- supervised coordinator tick -------------------------------------------------
 
@@ -188,18 +181,12 @@ class ShardSupervisor:
         """
         counters = self.metrics.counters
         counters.rebalance_attempts += 1
-        half_open = False
-        if self._open_until is not None:
-            if now < self._open_until:
-                counters.rebalance_skipped += 1
-                self._degrade(now)
-                return False
-            half_open = True
-        elif now < self._blocked_until:
+        state = self._breaker.admit(now)
+        if state in ("open", "blocked"):
             counters.rebalance_skipped += 1
             self._degrade(now)
             return False
-        attempts = 1 if half_open else 1 + self.config.retries
+        attempts = self._breaker.attempts(state)
         for attempt in range(attempts):
             t0 = time.perf_counter()
             try:
@@ -210,13 +197,11 @@ class ShardSupervisor:
                 if attempt + 1 < attempts:
                     counters.rebalance_retries += 1
                     continue
-                self._on_tick_failure(now, exc, half_open)
+                self._on_tick_failure(now, exc)
                 return False
             self._observe_latency(time.perf_counter() - t0)
             counters.rebalance_successes += 1
-            self._consecutive_failures = 0
-            self._blocked_until = -np.inf
-            if half_open:
+            if self._breaker.succeed():
                 self._close_breaker(now)
             self._last_good_shares = self.dispatcher.shares
             return True
@@ -232,23 +217,18 @@ class ShardSupervisor:
                 hi=10.0,
             ).observe(max(seconds, 1e-9))
 
-    def _on_tick_failure(self, now: float, exc: Exception, half_open: bool) -> None:
-        self._consecutive_failures += 1
-        self._blocked_until = now + self.config.backoff
-        self.metrics.incidents.emit(
-            IncidentRecord(
-                time=now,
-                kind="rebalance-failure",
-                severity="warning",
-                detail=f"coordinator re-solve failed: {exc}",
-                data={
-                    "error": str(exc),
-                    "consecutive": self._consecutive_failures,
-                },
-            )
+    def _on_tick_failure(self, now: float, exc: Exception) -> None:
+        transition = self._breaker.fail(now)
+        self.metrics.incidents.note(
+            now,
+            "rebalance-failure",
+            "warning",
+            f"coordinator re-solve failed: {exc}",
+            error=str(exc),
+            consecutive=self._breaker.consecutive_failures,
         )
-        if half_open or self._consecutive_failures >= self.config.breaker_threshold:
-            self._open_breaker(now, probe_failed=half_open)
+        if transition is not None:
+            self._open_breaker(now, reopened=transition == "reopened")
         self._degrade(now)
 
     def _degrade(self, now: float) -> None:
@@ -256,35 +236,27 @@ class ShardSupervisor:
         shares = np.where(self._live, self._last_good_shares, 0.0)
         self.dispatcher.set_shares(shares)
 
-    def _open_breaker(self, now: float, probe_failed: bool = False) -> None:
-        reopened = self._open_until is not None
-        self._open_until = now + self.config.breaker_cooldown
+    def _open_breaker(self, now: float, reopened: bool) -> None:
+        # Unlike the resilience supervisor, only closed -> open counts.
         if not reopened:
             self.metrics.counters.breaker_opens += 1
-        self.metrics.incidents.emit(
-            IncidentRecord(
-                time=now,
-                kind="coordinator-breaker-open",
-                severity="critical",
-                detail=(
-                    "half-open probe failed; breaker re-opened"
-                    if probe_failed
-                    else "coordinator circuit breaker opened"
-                ),
-                data={"until": float(self._open_until)},
-            )
+        self.metrics.incidents.note(
+            now,
+            "coordinator-breaker-open",
+            "critical",
+            "half-open probe failed; breaker re-opened"
+            if reopened
+            else "coordinator circuit breaker opened",
+            until=float(self._breaker.open_until),
         )
 
     def _close_breaker(self, now: float) -> None:
-        self._open_until = None
         self.metrics.counters.breaker_closes += 1
-        self.metrics.incidents.emit(
-            IncidentRecord(
-                time=now,
-                kind="coordinator-breaker-close",
-                severity="info",
-                detail="half-open probe succeeded; breaker closed",
-            )
+        self.metrics.incidents.note(
+            now,
+            "coordinator-breaker-close",
+            "info",
+            "half-open probe succeeded; breaker closed",
         )
 
     # -- heartbeat failure detector --------------------------------------------------
@@ -312,44 +284,45 @@ class ShardSupervisor:
             if self._suspicion[shard] >= self.config.heartbeat_misses:
                 self._declare_dead(shard, now)
 
+    def _update_degraded(self) -> None:
+        self.metrics.degraded = int((~self._live).sum())
+        if self._obs.enabled:
+            self._obs.registry.gauge(
+                "repro_shard_degraded",
+                "Shards currently failed over (0 = healthy fleet)",
+            ).set(float(self.metrics.degraded))
+
     def _declare_dead(self, shard: int, now: float) -> None:
         """Fail one shard over: zero its share, re-solve over survivors."""
         self._live[shard] = False
         self._suspicion[shard] = 0
         self.metrics.counters.failovers += 1
         self.failovers.append((now, shard))
-        self.metrics.degraded = int((~self._live).sum())
-        self.metrics.incidents.emit(
-            IncidentRecord(
-                time=now,
-                kind="shard-dead",
-                severity="critical",
-                detail=f"shard {shard} declared dead (missed heartbeats)",
-                data={"shard": shard, "degraded": self.metrics.degraded},
-            )
+        self._update_degraded()
+        self.metrics.incidents.note(
+            now,
+            "shard-dead",
+            "critical",
+            f"shard {shard} declared dead (missed heartbeats)",
+            shard=shard,
+            degraded=self.metrics.degraded,
         )
         if self._obs.enabled:
             self._obs.registry.counter(
                 "repro_shard_failovers_total",
                 "Shards declared dead and failed over by the supervisor",
             ).inc()
-            self._obs.registry.gauge(
-                "repro_shard_degraded",
-                "Shards currently failed over (0 = healthy fleet)",
-            ).set(float(self.metrics.degraded))
         # Share zeroing first, synchronously: the failover bound must
         # hold even when the follow-up solve fails or the breaker is
         # open — the survivors just keep their previous proportions.
         self._degrade(now)
         self._last_good_shares = self.dispatcher.shares
         if not self._live.any():
-            self.metrics.incidents.emit(
-                IncidentRecord(
-                    time=now,
-                    kind="fleet-dark",
-                    severity="critical",
-                    detail="every shard is dead; shedding all arrivals",
-                )
+            self.metrics.incidents.note(
+                now,
+                "fleet-dark",
+                "critical",
+                "every shard is dead; shedding all arrivals",
             )
             return
         self.tick(now)
@@ -368,15 +341,13 @@ class ShardSupervisor:
         """
         runtime = self.dispatcher.runtimes[shard]
         self.dispatcher.kill_shard(shard)
-        self.metrics.incidents.emit(
-            IncidentRecord(
-                time=now,
-                kind="shard-journal-corrupt" if corrupt else "shard-crash",
-                severity="critical",
-                detail=f"shard {shard} hard-killed"
-                + (" with a torn journal tail" if corrupt else ""),
-                data={"shard": shard},
-            )
+        self.metrics.incidents.note(
+            now,
+            "shard-journal-corrupt" if corrupt else "shard-crash",
+            "critical",
+            f"shard {shard} hard-killed"
+            + (" with a torn journal tail" if corrupt else ""),
+            shard=shard,
         )
         if corrupt:
             from ..recovery.journal import JOURNAL_NAME
@@ -390,14 +361,8 @@ class ShardSupervisor:
     def stall_shard(self, shard: int, now: float) -> None:
         """Hang one shard: alive, state intact, reading nothing."""
         self.dispatcher.stall_shard(shard)
-        self.metrics.incidents.emit(
-            IncidentRecord(
-                time=now,
-                kind="shard-stall",
-                severity="warning",
-                detail=f"shard {shard} stalled",
-                data={"shard": shard},
-            )
+        self.metrics.incidents.note(
+            now, "shard-stall", "warning", f"shard {shard} stalled", shard=shard
         )
 
     def restore_shard(
@@ -422,20 +387,14 @@ class ShardSupervisor:
         self.restore_log.append((now, shard))
         if report is not None:
             self.restore_reports.append(report)
-        self.metrics.incidents.emit(
-            IncidentRecord(
-                time=now,
-                kind="shard-restored",
-                severity="info",
-                detail=f"shard {shard} spliced back in",
-                data={
-                    "shard": shard,
-                    "was_failed_over": bool(not self._live[shard]),
-                    "replayed": (
-                        int(report.replayed_records) if report is not None else 0
-                    ),
-                },
-            )
+        self.metrics.incidents.note(
+            now,
+            "shard-restored",
+            "info",
+            f"shard {shard} spliced back in",
+            shard=shard,
+            was_failed_over=bool(not self._live[shard]),
+            replayed=int(report.replayed_records) if report is not None else 0,
         )
         if self._obs.enabled:
             self._obs.registry.counter(
@@ -444,10 +403,5 @@ class ShardSupervisor:
             ).inc()
         if not self._live[shard]:
             self._live[shard] = True
-            self.metrics.degraded = int((~self._live).sum())
-            if self._obs.enabled:
-                self._obs.registry.gauge(
-                    "repro_shard_degraded",
-                    "Shards currently failed over (0 = healthy fleet)",
-                ).set(float(self.metrics.degraded))
+            self._update_degraded()
             self.tick(now)

@@ -269,6 +269,39 @@ class TestCheckpoints:
         # JSON round trip normalizes tuples to lists before comparing.
         assert json.loads(json.dumps(re_encoded)) == snapshot
 
+    def test_response_histogram_restores_exactly(self, tmp_path, group):
+        d = str(tmp_path / "rec")
+        _run(group, d, seed=11)
+        _, path = list_checkpoints(d)[-1]
+        snapshot = json.load(open(path, encoding="utf-8"))
+        assert "response_histogram" not in snapshot["metrics"]
+        (family,) = [
+            f
+            for f in snapshot["metrics"]["registry"]
+            if f["name"] == "runtime_response_time"
+        ]
+        (series,) = family["series"]
+        runtime = LoadDistributionRuntime(group, RATE, _config(d), _restore=True)
+        CheckpointCodec().restore(runtime, snapshot, path=path)
+        hist = runtime.metrics.response_histogram
+        assert hist.count == series["count"] == runtime.metrics.response_time.count
+        assert hist.count > 0
+        assert hist.sum == series["sum"]
+        assert list(hist.bucket_counts) == series["buckets"]
+
+    def test_v3_checkpoint_is_refused(self, tmp_path, group):
+        d = str(tmp_path / "rec")
+        _run(group, d, seed=2)
+        _, path = list_checkpoints(d)[-1]
+        snapshot = json.load(open(path, encoding="utf-8"))
+        snapshot["schema"] = 3
+        atomic_write_json(path, snapshot)
+        with pytest.raises(RecoveryError, match="schema 3"):
+            load_latest_checkpoint(d)
+        runtime = LoadDistributionRuntime(group, RATE, _config(d), _restore=True)
+        with pytest.raises(RecoveryError, match="schema 3"):
+            CheckpointCodec().restore(runtime, snapshot, path=path)
+
     def test_corrupt_latest_checkpoint_falls_back_to_older(self, tmp_path, group):
         d = str(tmp_path / "rec")
         config = _config(d, checkpoint_every=2, keep_checkpoints=4)

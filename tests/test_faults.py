@@ -36,6 +36,7 @@ from repro.faults import (
     proportional_split,
     random_fault_schedule,
 )
+from repro.faults.supervisor import Breaker
 from repro.runtime import (
     EwmaRateEstimator,
     HealthTracker,
@@ -337,6 +338,87 @@ class TestSupervisorConfig:
         with pytest.raises(ParameterError):
             SupervisorConfig(rho_cap=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"retries": -1},
+            {"backoff": -1.0},
+            {"backoff": math.nan},
+            {"breaker_threshold": 0},
+            {"breaker_cooldown": 0.0},
+            {"breaker_cooldown": math.nan},
+            {"breaker_cooldown": math.inf},
+        ],
+    )
+    def test_shard_config_shares_the_breaker_rules(self, kwargs):
+        from repro.shard import ShardSupervisorConfig
+
+        with pytest.raises(ParameterError):
+            SupervisorConfig(**kwargs)
+        with pytest.raises(ParameterError):
+            ShardSupervisorConfig(**kwargs)
+
+
+class TestBreaker:
+    CFG = SupervisorConfig(
+        retries=2, backoff=10.0, breaker_threshold=2, breaker_cooldown=50.0
+    )
+
+    def _opened(self):
+        """A breaker that opened at t = 5 (two failures)."""
+        breaker = Breaker(self.CFG)
+        assert breaker.fail(0.0) is None
+        assert breaker.fail(5.0) == "opened"
+        return breaker
+
+    @pytest.mark.parametrize(
+        "now, state",
+        [(5.0, "open"), (54.9, "open"), (55.0, "probe"), (500.0, "probe")],
+    )
+    def test_open_breaker_admits_one_probe_after_cooldown(self, now, state):
+        breaker = self._opened()
+        assert breaker.is_open and breaker.open_until == 55.0
+        assert breaker.admit(now) == state
+        # A probe is one attempt; a closed breaker allows 1 + retries.
+        assert breaker.attempts("probe") == 1
+        assert breaker.attempts("closed") == 3
+
+    @pytest.mark.parametrize(
+        "now, state", [(0.0, "blocked"), (9.9, "blocked"), (10.0, "closed")]
+    )
+    def test_backoff_window_blocks_the_primary(self, now, state):
+        breaker = Breaker(self.CFG)
+        breaker.fail(0.0)
+        assert not breaker.is_open
+        assert breaker.admit(now) == state
+
+    def test_probe_success_closes_and_clears_backoff(self):
+        # Backoff longer than the cooldown: the deadline outlives the probe.
+        breaker = Breaker(dataclasses.replace(self.CFG, backoff=100.0))
+        breaker.fail(0.0)
+        breaker.fail(5.0)
+        assert breaker.admit(60.0) == "probe"
+        assert breaker.succeed() is True
+        assert not breaker.is_open and breaker.consecutive_failures == 0
+        assert breaker.admit(61.0) == "closed"
+        assert breaker.succeed() is False  # already closed
+
+    def test_probe_failure_reopens(self):
+        breaker = self._opened()
+        assert breaker.admit(60.0) == "probe"
+        assert breaker.fail(60.0) == "reopened"
+        assert breaker.open_until == 110.0
+        assert breaker.admit(100.0) == "open"
+
+    def test_state_round_trip_keeps_the_open_deadline(self):
+        breaker = self._opened()
+        restored = Breaker(self.CFG)
+        restored.load_state(breaker.state_dict())
+        assert restored.state_dict() == breaker.state_dict()
+        assert restored.open_until == 55.0
+        assert restored.admit(54.0) == "open"
+        assert restored.admit(55.0) == "probe"
+
 
 class TestProportionalSplit:
     def test_feasible_and_flagged_heuristic(self, group):
@@ -501,6 +583,23 @@ class TestSupervisorCircuitBreaker:
         solver.calls.clear()
         assert sup.resolve(250.0, 3.0).source == "circuit-pinned"
         assert solver.calls == []
+
+    def test_probe_success_clears_backoff_longer_than_cooldown(self, group):
+        cfg = SupervisorConfig(
+            retries=0, backoff=150.0, breaker_threshold=3, breaker_cooldown=100.0
+        )
+        sup, solver, _, _ = _make_supervisor(group, cfg)
+        solver.broken_methods = {"kkt"}
+        for i, now in enumerate((10.0, 160.0, 310.0)):
+            sup.resolve(now, 4.0 + 0.3 * i)
+        assert sup.circuit_state == "open"
+        solver.broken_methods = set()
+        assert sup.resolve(410.0, 3.0).source == "primary"  # probe closes
+        assert sup.circuit_state == "closed"
+        solver.calls.clear()
+        out = sup.resolve(420.0, 3.1)
+        assert out.source == "primary"
+        assert solver.calls == ["kkt"]
 
     def test_topology_change_invalidates_pin(self, group):
         sup, solver, health, metrics = _make_supervisor(group, self.CFG)

@@ -98,6 +98,12 @@ class TestHistogramBuckets:
         assert h.quantile(0.5) == 2.0
         assert h.quantile(0.99) == 4.0
 
+    def test_log_buckets_bracket_the_median(self):
+        h = Histogram(lo=0.1, hi=10.0, buckets=40)
+        for k in range(999):
+            h.observe(0.5 + 1.5 * k / 998)
+        assert 1.0 <= h.quantile(0.5) <= 1.5
+
     def test_bad_edges_raise(self):
         with pytest.raises(ObsError):
             Histogram(edges=(1.0,))

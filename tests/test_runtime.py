@@ -26,7 +26,6 @@ from repro.runtime import (
     HealthTracker,
     IncidentLog,
     IncidentRecord,
-    LogHistogram,
     RateGauges,
     ResolveController,
     RuntimeMetrics,
@@ -388,29 +387,6 @@ class TestResolveController:
 # ---------------------------------------------------------------------------
 
 
-class TestLogHistogram:
-    def test_counts_and_total(self):
-        hist = LogHistogram(lo=0.1, hi=10.0, bins=4)
-        for v in (0.01, 0.5, 0.5, 3.0, 100.0):
-            hist.add(v)
-        assert hist.total == 5
-        assert hist.counts[0] == 1  # underflow
-        assert hist.counts[-1] == 1  # overflow
-
-    def test_quantile_brackets_median(self):
-        hist = LogHistogram(lo=0.1, hi=10.0, bins=40)
-        for v in np.linspace(0.5, 2.0, 999):
-            hist.add(v)
-        q50 = hist.quantile(0.5)
-        assert 1.0 <= q50 <= 1.5
-
-    def test_empty_quantile_raises(self):
-        from repro.core.exceptions import SimulationError
-
-        with pytest.raises(SimulationError):
-            LogHistogram().quantile(0.5)
-
-
 class TestRateGauges:
     def test_cumulative_and_snapshot(self):
         gauges = RateGauges(2)
@@ -430,7 +406,7 @@ class TestRateGauges:
         assert metrics.shed_fraction_observed == pytest.approx(0.4)
         metrics.on_response(1.5)
         assert metrics.response_time.count == 1
-        assert metrics.response_histogram.total == 1
+        assert metrics.response_histogram.count == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,10 @@
 
 Exercises the hierarchical KKT coordinator at sizes the flat solver was
 built for (hundreds) up to the ISSUE's fleet scale (n = 50 000), driving
-everything through the public ``repro.solve`` facade and the
-``repro.shard`` subsystem:
+everything through the public ``repro`` and ``repro.shard`` APIs:
 
 * **solver scaling** — cold and warm hierarchical solves vs flat Newton,
-  asserting the pruning-off gap stays ≤ 1e-8 at every size;
-* **pruning gap curve** — the measured top-k optimality gap, monotone
-  non-increasing in ``k`` by construction of the nested candidate sets;
+  asserting the exact gap stays ≤ 1e-8 at every size;
 * **closed loop at n = 50k** — the acceptance run: several concurrent
   shard dispatchers (one runtime, estimator, router, journal and
   checkpoint generation each) over one discrete-event engine, with the
@@ -33,7 +30,7 @@ from repro import ShardConfig, solve
 from repro.core.server import BladeServer, BladeServerGroup
 from repro.recovery import RecoveryConfig
 from repro.runtime.loop import RuntimeConfig
-from repro.shard import pruning_gap_report, run_sharded_closed_loop
+from repro.shard import partition_group, run_sharded_closed_loop, solve_sharded
 from repro.workloads.traces import RateTrace
 
 from bench_solver_scaling import scaling_group
@@ -75,23 +72,21 @@ def test_sharded_solver_scaling(quick, n):
     t0 = time.perf_counter()
     flat = solve(group, lam, discipline="fcfs", method="newton", tol=TOL)
     t_flat = time.perf_counter() - t0
+    plan = partition_group(group, ShardConfig(shards=8))
     t0 = time.perf_counter()
-    sharded = solve(
-        group, lam, discipline="fcfs", method="sharded", tol=TOL, shards=8
-    )
+    sharded = solve_sharded(group, lam, "fcfs", TOL, plan=plan)
     t_cold = time.perf_counter() - t0
     gap = abs(
         sharded.mean_response_time - flat.mean_response_time
     ) / flat.mean_response_time
     t0 = time.perf_counter()
-    warm = solve(
+    warm = solve_sharded(
         group,
         1.01 * lam,
-        discipline="fcfs",
-        method="sharded",
-        tol=TOL,
-        shards=8,
-        phi_hint=dict(sharded.metadata["shard_phi"]),
+        "fcfs",
+        TOL,
+        dict(sharded.metadata["shard_phi"]),
+        plan=plan,
     )
     t_warm = time.perf_counter() - t0
     print(
@@ -101,30 +96,6 @@ def test_sharded_solver_scaling(quick, n):
     )
     assert gap <= 1e-8
     assert warm.converged and warm.iterations <= sharded.iterations + 2
-
-
-def test_sharded_pruning_gap_curve(quick):
-    """The measured top-k gap curve: monotone, tiny once k covers the
-    servers the optimum actually loads."""
-    n = 200 if quick else 1000
-    group = scaling_group(n)
-    lam = 0.5 * group.max_generic_rate
-    # End the sweep at full per-shard coverage (k = n/shards keeps every
-    # server), so the curve provably descends to the exact gap.
-    report = pruning_gap_report(
-        group, lam, ks=(2, 8, 32, n // 4), shards=4, tol=TOL
-    )
-    print(f"\nn={n}, shards=4: exact_gap {report.exact_gap:.2e}")
-    for entry in report.entries:
-        print(
-            f"  k={entry.top_k:3d}: kept {entry.candidates:4d}, "
-            f"gap {entry.gap:.3e}"
-        )
-    assert abs(report.exact_gap) < 1e-3
-    gaps = [entry.gap for entry in report.entries]
-    for a, b in zip(gaps, gaps[1:]):
-        assert b <= a + 1e-9
-    assert gaps[-1] <= 1e-6  # full coverage == the exact sharded solve
 
 
 def test_sharded_closed_loop_fleet(quick, tmp_path):
@@ -180,8 +151,6 @@ def test_sharded_closed_loop_fleet(quick, tmp_path):
 def test_sharded_partition_scales_linearly(quick):
     """Partitioning 50k servers is a sub-second array operation."""
     n = QUICK_FLEET_N if quick else FLEET_N
-    from repro.shard import partition_group
-
     group = fleet_group(n)
     t0 = time.perf_counter()
     plan = partition_group(group, ShardConfig(shards=FLEET_SHARDS, strategy="type"))

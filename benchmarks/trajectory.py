@@ -4,7 +4,8 @@ The repo's perf story used to live in CI logs; this module makes it
 durable.  :func:`measure_trajectory` times the root-finding backends on
 the scaling groups of ``bench_solver_scaling.py`` — cold solves per
 (backend, n) plus phi-warm-started re-solves for the warm-startable
-backends — and :func:`write_trajectory` writes the result to
+backends, and the sharded coordinator (:func:`repro.shard.solve_sharded`)
+next to flat Newton — and :func:`write_trajectory` writes the result to
 ``BENCH_solver_scaling.json`` at the repo root via the crash-safe
 :func:`repro.recovery.journal.atomic_write_json`.
 
@@ -20,8 +21,10 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from repro import solve
+from repro import ShardConfig, solve
+from repro.core.newton import solve_newton
 from repro.recovery.journal import atomic_write_json
+from repro.shard import partition_group, solve_sharded
 
 #: Solver tolerance shared with ``bench_solver_scaling.py``.
 TOL = 1e-9
@@ -41,16 +44,12 @@ WARM_BACKENDS = ("newton",)
 #: Shard count of the sharded control-plane series.
 SHARDS = 4
 
-#: ``top_k`` sweep of the pruning optimality-gap curve (measured at the
-#: largest size of the run).
-PRUNING_KS = (2, 4, 8, 16)
-
 #: Repetitions per timing (the median is recorded).  The KKT backend is
 #: seconds per solve at n = 500, so it gets fewer rounds.
 _REPS = {"kkt": 3, "newton": 5, "sharded": 5}
 _REPS_LARGE_KKT = 1
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 OUTPUT_NAME = "BENCH_solver_scaling.json"
 
@@ -73,17 +72,31 @@ def _median(values: list[float]) -> float:
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
-def _time_solve(group, lam, method: str, reps: int, **kwargs):
-    # The kkt backend spells its tolerance ``xtol`` (it feeds brentq).
-    if method == "kkt" and "tol" in kwargs:
-        kwargs["xtol"] = kwargs.pop("tol")
+def _time_calls(call, reps: int):
     latencies = []
     result = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        result = solve(group, lam, discipline="fcfs", method=method, **kwargs)
+        result = call()
         latencies.append(time.perf_counter() - t0)
     return _median(latencies), result
+
+
+def _time_solve(group, lam, method: str, reps: int, **kwargs):
+    # The kkt backend spells its tolerance ``xtol`` (it feeds brentq).
+    if method == "kkt" and "tol" in kwargs:
+        kwargs["xtol"] = kwargs.pop("tol")
+    return _time_calls(
+        lambda: solve(group, lam, discipline="fcfs", method=method, **kwargs),
+        reps,
+    )
+
+
+def _time_sharded(group, lam, plan, reps: int, phi_hint=None):
+    return _time_calls(
+        lambda: solve_sharded(group, lam, "fcfs", TOL, phi_hint, plan=plan),
+        reps,
+    )
 
 
 def measure_trajectory(sizes=FULL_SIZES, quick: bool = False) -> dict:
@@ -133,9 +146,8 @@ def measure_trajectory(sizes=FULL_SIZES, quick: bool = False) -> dict:
         # Sharded control plane: cold hierarchical solve, then a warm
         # re-solve carrying the per-shard multiplier dict — the same
         # hint the coordinator threads between rebalance ticks.
-        latency, result = _time_solve(
-            group, lam, "sharded", _REPS["sharded"], tol=TOL, shards=SHARDS
-        )
+        plan = partition_group(group, ShardConfig(shards=SHARDS))
+        latency, result = _time_sharded(group, lam, plan, _REPS["sharded"])
         assert result.converged, f"sharded did not converge at n={n}"
         sharded_gap = abs(
             float(result.mean_response_time)
@@ -149,14 +161,8 @@ def measure_trajectory(sizes=FULL_SIZES, quick: bool = False) -> dict:
         }
         cold_latency["sharded"] = latency
         warm_hint = dict(result.metadata["shard_phi"])
-        latency, result = _time_solve(
-            group,
-            1.01 * lam,
-            "sharded",
-            _REPS["sharded"],
-            tol=TOL,
-            shards=SHARDS,
-            phi_hint=warm_hint,
+        latency, result = _time_sharded(
+            group, 1.01 * lam, plan, _REPS["sharded"], phi_hint=warm_hint
         )
         entries[f"sharded-warm@n={n}"] = {
             "median_seconds": latency,
@@ -182,23 +188,25 @@ def measure_trajectory(sizes=FULL_SIZES, quick: bool = False) -> dict:
 
 
 def _pruning_section(n: int) -> dict:
-    """Measured sharded optimality-gap curve at the run's largest size.
+    """The sharded solve's exact optimality gap at the run's largest size.
 
-    ``exact_gap`` (pruning off) is the acceptance number — the regression
-    gate bounds it below 0.1% — and the per-``k`` entries are the
-    measured top-k curve, monotone non-increasing by construction of the
-    nested candidate sets.
+    ``exact_gap`` is the relative T' difference between the sharded
+    solve (every server a candidate) and the flat Newton solve — the
+    acceptance number the regression gate bounds below 0.1%, reading it
+    from the document's ``pruning`` key.
     """
-    from repro.shard import pruning_gap_report
-
     group, lam = _bench_group(n)
-    # Always end the sweep at full per-shard coverage, so the committed
-    # curve descends to the exact (pruning-off) gap.
-    full_k = -(-group.n // SHARDS)
-    ks = tuple(k for k in PRUNING_KS if k < full_k) + (full_k,)
-    return pruning_gap_report(
-        group, lam, ks=ks, shards=SHARDS, tol=TOL
-    ).to_dict()
+    flat_t = float(solve_newton(group, lam, "fcfs", tol=TOL).mean_response_time)
+    plan = partition_group(group, ShardConfig(shards=SHARDS))
+    sharded = solve_sharded(group, lam, "fcfs", TOL, plan=plan)
+    return {
+        "n": group.n,
+        "shards": plan.n_shards,
+        "strategy": plan.config.strategy,
+        "total_rate": float(lam),
+        "flat_t_prime": flat_t,
+        "exact_gap": (float(sharded.mean_response_time) - flat_t) / flat_t,
+    }
 
 
 def repo_root() -> Path:

@@ -54,9 +54,10 @@ Subpackages
     versioned checkpoints, deterministic crash recovery
     (:func:`restore_runtime`).
 ``repro.shard``
-    Sharded control plane for fleet-scale groups: partitioning,
-    the hierarchical coordinator (``method="sharded"``), sparse
-    candidate pruning, and the multi-dispatcher closed loop
+    Sharded control plane for fleet-scale groups: partitioning, the
+    hierarchical coordinator (:func:`~repro.shard.solve_sharded`,
+    exact, called by the sharded runtime rather than registered as a
+    ``repro.solve`` backend), and the multi-dispatcher closed loop
     (:func:`run_sharded_closed_loop`).
 ``repro.dispatch``
     Load-distribution policies: the optimal split plus baselines.

@@ -175,33 +175,10 @@ def solve_sweep(
     warm_start:
         Disable to force every point onto the cold-start path (used by
         benchmarks comparing the two).
-
-    Notes
-    -----
-    ``method="sharded"`` sweeps are both plan-cached and shard-aware:
-    the fleet is partitioned once for the whole grid, and each point's
-    warm start is the previous point's *per-shard* multiplier mapping
-    (``metadata["shard_phi"]``) rather than a single scalar, so every
-    shard's inner roots are seeded where that shard last converged.
     """
     group = as_group(servers, rbar=rbar)
     backend = resolve_method(group, _resolve_alias(method))
     hintable = warm_start and backend in warm_startable_methods()
-    solver_kwargs = dict(solver_kwargs)
-    if backend == "sharded":
-        # Partition once for the whole grid; the plan also makes the
-        # per-shard phi_hint mappings below line up point to point.
-        from .shard.coordinator import resolve_plan
-
-        solver_kwargs["plan"] = resolve_plan(
-            group,
-            config=solver_kwargs.pop("config", None),
-            plan=solver_kwargs.pop("plan", None),
-            shards=solver_kwargs.pop("shards", None),
-            strategy=solver_kwargs.pop("strategy", None),
-            assignment=solver_kwargs.pop("assignment", None),
-            top_k=solver_kwargs.pop("top_k", None),
-        )
     results: list[SolveResult] = []
     hint = None
     for rate in rates:
@@ -212,10 +189,6 @@ def solve_sweep(
             group, float(rate), discipline=discipline, method=backend, **kwargs
         )
         if hintable:
-            # Shard-aware warm starts: the sharded backend publishes a
-            # per-shard multiplier mapping, which it also accepts as a
-            # hint; every other warm-startable backend takes the scalar.
-            shard_phi = (res.metadata or {}).get("shard_phi")
-            hint = shard_phi if shard_phi is not None else res.phi
+            hint = res.phi
         results.append(res)
     return results

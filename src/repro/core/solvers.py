@@ -28,10 +28,6 @@ method             backend
                    (warm-startable; the large-group backend, but 1.85x
                    slower than ``kkt`` over the 40 n = 7 paper-figure
                    sweeps of 25 warm-started points each)
-``"sharded"``      hierarchical KKT for fleet scale: outer Newton on the
-                   shared multiplier over per-shard response functions,
-                   optional top-k pruning (:mod:`repro.shard`;
-                   warm-startable with a per-shard ``phi_hint`` dict)
 ``"auto"``         ``closed-form`` when all sizes are 1, ``newton`` for
                    groups of n >= 16, else ``kkt``
 =================  ==========================================================

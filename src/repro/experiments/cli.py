@@ -89,6 +89,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             "error: give experiment ids, --all, or --list", file=sys.stderr
         )
         return 2
+    known = available_experiments()
+    for eid in ids:
+        if eid.lower() not in known:
+            print(f"error: unknown experiment {eid!r}; see --list", file=sys.stderr)
+            return 2
 
     for eid in ids:
         exp = get_experiment(eid)

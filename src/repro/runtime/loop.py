@@ -248,7 +248,20 @@ class LoadDistributionRuntime:
             configure(config.obs)
         # Cached once: route() runs on every arrival, and the global
         # lookup is the only per-call cost when observability is off.
+        # The per-decision families are bound here for the same reason.
         self._obs = get_obs()
+        if self._obs.enabled:
+            registry = self._obs.registry
+            self._routes_family = registry.counter(
+                "repro_routes_total",
+                "Routing decisions by outcome",
+                labels=("outcome",),
+            )
+            self._admission_family = registry.counter(
+                "repro_admission_decisions",
+                "Admission decisions by outcome and priority class",
+                labels=("decision", "cls"),
+            )
         if fault_plan is not None:
             fault_plan.bind_clock(lambda: self._now)
         self.health = HealthTracker(group, utilization_cap=config.utilization_cap)
@@ -522,11 +535,9 @@ class LoadDistributionRuntime:
         with o.tracer.span("route") as sp:
             dest = self._route()
             sp.note(dest=dest)
-        o.registry.counter(
-            "repro_routes_total",
-            "Routing decisions by outcome",
-            labels=("outcome",),
-        ).labels(outcome="shed" if dest < 0 else "routed").inc()
+        self._routes_family.labels(
+            outcome="shed" if dest < 0 else "routed"
+        ).inc()
         return dest
 
     def route_offer(self, offer: Offer) -> int:
@@ -543,11 +554,9 @@ class LoadDistributionRuntime:
         with o.tracer.span("route") as sp:
             dest = self._route(offer)
             sp.note(dest=dest, cls=offer.cls, attempt=offer.attempt)
-        o.registry.counter(
-            "repro_routes_total",
-            "Routing decisions by outcome",
-            labels=("outcome",),
-        ).labels(outcome="shed" if dest < 0 else "routed").inc()
+        self._routes_family.labels(
+            outcome="shed" if dest < 0 else "routed"
+        ).inc()
         return dest
 
     def _route(self, offer: Offer | None = None) -> int:
@@ -596,13 +605,10 @@ class LoadDistributionRuntime:
         """Record one admission decision in the metrics + obs layers."""
         decision = "admit" if admitted else reason
         self.metrics.admission.record(decision, cls)
-        o = self._obs
-        if o.enabled:
-            o.registry.counter(
-                "repro_admission_decisions",
-                "Admission decisions by outcome and priority class",
-                labels=("decision", "cls"),
-            ).labels(decision=decision, cls=str(cls)).inc()
+        if self._obs.enabled:
+            self._admission_family.labels(
+                decision=decision, cls=str(cls)
+            ).inc()
         self._drain_brownout(now)
 
     def _drain_brownout(self, now: float) -> None:

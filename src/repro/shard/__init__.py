@@ -3,12 +3,10 @@
 Partitions a blade-server fleet into dispatcher-owned shards
 (:mod:`repro.shard.partition`), solves each shard's inner KKT splits
 against a shared multiplier and equalizes marginal cost across shards
-one level up (:mod:`repro.shard.coordinator` — the paper's
-water-filling lifted a level, registered as ``method="sharded"``),
-prunes each dispatcher's candidate set to its top-k servers with a
-measured optimality gap (:mod:`repro.shard.sparse`), and runs the
-multi-dispatcher closed loop where every shard owns its own journal
-and checkpoint generation (:mod:`repro.shard.runtime`).
+one level up (:mod:`repro.shard.coordinator` — the paper's exact
+water-filling lifted a level), and runs the multi-dispatcher closed
+loop where every shard owns its own journal and checkpoint generation
+(:mod:`repro.shard.runtime`).
 
 See ``docs/SHARDING.md`` for the architecture and the outer-loop
 derivation.
@@ -24,13 +22,6 @@ from .runtime import (
     run_sharded_closed_loop,
     shard_seeds,
 )
-from .sparse import (
-    PruningGapEntry,
-    PruningGapReport,
-    candidate_sets,
-    pruning_gap_report,
-    rank_servers,
-)
 from .supervisor import ShardSupervisor, ShardSupervisorConfig
 
 __all__ = [
@@ -40,11 +31,6 @@ __all__ = [
     "partition_group",
     "ShardCoordinator",
     "solve_sharded",
-    "candidate_sets",
-    "rank_servers",
-    "PruningGapEntry",
-    "PruningGapReport",
-    "pruning_gap_report",
     "ShardedDispatcher",
     "ShardedRuntimeReport",
     "run_sharded_closed_loop",

@@ -27,23 +27,23 @@ changes — the multiplier is *shared*, so:
 
 Because the inner roots depend on ``phi`` only through the scalar
 comparison ``g_i = phi``, every shard's inner solve at the *same*
-multiplier is one batched kernel sweep over the concatenated candidate
+multiplier is one batched kernel sweep over the concatenated live
 servers — the per-shard decomposition costs no extra kernel calls.
 Per-shard warm starts (``phi_hint`` as a dict) exploit the vector-phi
 form of :func:`repro.core.newton._inner_newton`: each shard's members
 are first rooted at that shard's own hinted multiplier in one batched
 sweep, seeding the outer loop where the shards last converged.
 
-With pruning off the candidate set is the whole fleet and the fixed
-point is *identical* to the flat solve (the test suite asserts
-agreement to <= 1e-8 in mean response time); with ``top_k`` pruning the
-coordinator solves the same program restricted to the kept candidates
-(:mod:`repro.shard.sparse`), and the optimality gap is measured, not
-assumed.
+With every shard live the candidate set is the whole fleet and the
+fixed point is *identical* to the flat solve (the test suite asserts
+agreement to <= 1e-8 in mean response time); with a ``live`` mask the
+coordinator solves the same program restricted to the surviving
+shards' servers — the failover re-solve.
 
-Registered as ``method="sharded"`` (warm-startable) on import; the
-package ``repro`` imports this module, so ``repro.solve(...,
-method="sharded")`` works out of the box.
+:func:`solve_sharded` is not a ``repro.solve`` backend: flat
+``method="newton"`` returns the same answer in about the same time.  It
+is the partition-aware solve the sharded runtime
+(:mod:`repro.shard.runtime`) calls directly.
 """
 
 from __future__ import annotations
@@ -59,12 +59,10 @@ from ..core.newton import _inner_newton, marginal_cost_and_slope_vec
 from ..core.response import Discipline
 from ..core.result import LoadDistributionResult
 from ..core.server import BladeServerGroup
-from ..core.solvers import register_method
 from ..obs import get_obs
-from .partition import ShardConfig, ShardPlan, partition_group
-from .sparse import candidate_sets
+from .partition import ShardPlan, partition_group
 
-__all__ = ["ShardCoordinator", "resolve_plan", "solve_sharded"]
+__all__ = ["ShardCoordinator", "solve_sharded"]
 
 #: Outer multiplier iterations before declaring failure (matches the
 #: flat Newton backend — the outer problems are the same shape).
@@ -72,11 +70,11 @@ _MAX_OUTER = 200
 
 
 class ShardCoordinator:
-    """One sharded solve: candidate selection plus the outer dual ascent.
+    """One sharded solve: the live candidate frame plus the outer dual ascent.
 
     Instances are cheap, single-use-per-``solve`` helpers: construction
-    selects candidates and precomputes the phi-independent thresholds;
-    :meth:`solve` runs the outer loop.  :meth:`response` is public so
+    gathers the live shards' members and precomputes the phi-independent
+    thresholds; :meth:`solve` runs the outer loop.  :meth:`response` is public so
     tests (and curious readers) can probe the shard load curves
     ``g_s(phi)`` the coordinator equalizes over.
     """
@@ -109,20 +107,17 @@ class ShardCoordinator:
             if not self.live.any():
                 raise InfeasibleError("every shard is masked dead")
 
-        kept = candidate_sets(
-            plan, self.total_rate, self.disc, plan.config.top_k
-        )
         # Failed-over shards contribute no candidates: the masked solve
         # is the same program restricted to the surviving fleet.
         kept = [
-            k if self.live[s] else k[:0] for s, k in enumerate(kept)
+            np.asarray(s.members, dtype=np.int64)
+            if self.live[s.index]
+            else np.empty(0, dtype=np.int64)
+            for s in plan.shards
         ]
-        members = [np.asarray(s.members) for s in plan.shards]
         # Concatenated candidate frame: every array below is indexed by
         # candidate position; `shard_of` maps positions to shard runs.
-        self.cand = np.concatenate(
-            [members[s][kept[s]] for s in range(plan.n_shards)]
-        )
+        self.cand = np.concatenate(kept)
         counts = np.array([k.size for k in kept], dtype=np.int64)
         self.starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         self.shard_of = np.repeat(np.arange(plan.n_shards), counts)
@@ -150,8 +145,8 @@ class ShardCoordinator:
         )
         if float(self.hard_caps.sum()) <= self.total_rate:
             # The full group passed check_feasible above, so this only
-            # fires when the live mask (or aggressive pruning) removed
-            # too much capacity — the caller must shed first.
+            # fires when the live mask removed too much capacity — the
+            # caller must shed first.
             raise InfeasibleError(
                 f"candidate capacity {float(self.hard_caps.sum()):.6g} cannot "
                 f"carry total rate {self.total_rate:.6g} "
@@ -218,7 +213,7 @@ class ShardCoordinator:
         """Per-shard load sums over the candidate frame.
 
         ``bincount`` rather than ``reduceat``: with an empty candidate
-        run (a dead or fully-pruned shard) ``reduceat`` would return the
+        run (a dead shard) ``reduceat`` would return the
         element *at* the duplicated start offset instead of zero.
         """
         return np.bincount(
@@ -336,8 +331,9 @@ class ShardCoordinator:
                 f"solve_sharded: no convergence in {_MAX_OUTER} outer "
                 f"iterations (residual {resid:.3e})"
             )
-        # Scatter candidates back to group order; pruned servers keep a
-        # zero cap so the residual projection cannot route load to them.
+        # Scatter candidates back to group order; dead shards' servers
+        # keep a zero cap so the residual projection cannot route load
+        # to them.
         group = self.group
         full_rates = np.zeros(group.n)
         full_rates[self.cand] = rates
@@ -345,7 +341,6 @@ class ShardCoordinator:
         full_caps[self.cand] = self.hard_caps
         full_rates = settle_residual(full_rates, total_rate, full_caps)
         loads = self._shard_loads(full_rates[self.cand])
-        cfg = self.plan.config
         phi = float(phi)
         return LoadDistributionResult(
             generic_rates=full_rates,
@@ -361,10 +356,8 @@ class ShardCoordinator:
             converged=True,
             metadata={
                 "shards": self.plan.n_shards,
-                "strategy": cfg.strategy,
-                "top_k": cfg.top_k,
+                "strategy": self.plan.config.strategy,
                 "candidates": int(self.cand.size),
-                "pruned": int(group.n - self.cand.size),
                 # The converged multiplier is shared, so every shard's
                 # next-tick warm start is the same phi — published as a
                 # per-shard mapping because drifting shard loads will
@@ -377,51 +370,6 @@ class ShardCoordinator:
         )
 
 
-def resolve_plan(
-    group: BladeServerGroup,
-    *,
-    config: ShardConfig | None = None,
-    plan: ShardPlan | None = None,
-    shards: int | None = None,
-    strategy: str | None = None,
-    assignment=None,
-    top_k: int | None = None,
-) -> ShardPlan:
-    """Normalize :func:`solve_sharded`'s partitioning arguments.
-
-    Exactly one source wins: a prebuilt ``plan`` (validated against
-    ``group``), a :class:`ShardConfig`, or the shorthand kwargs (which
-    fill a default config; passing ``assignment`` alone implies
-    ``strategy="custom"``).  The facade's sweep path calls this once to
-    amortize partitioning across a whole rate grid.
-    """
-    if plan is not None:
-        if config is not None or any(
-            v is not None for v in (shards, strategy, assignment, top_k)
-        ):
-            raise ParameterError(
-                "pass either a prebuilt plan or partitioning kwargs, not both"
-            )
-        if plan.group is not group:
-            raise ParameterError("plan was built for a different group")
-        return plan
-    if config is None:
-        defaults = ShardConfig()
-        config = ShardConfig(
-            shards=defaults.shards if shards is None else shards,
-            strategy=(
-                ("custom" if assignment is not None else defaults.strategy)
-                if strategy is None
-                else strategy
-            ),
-            assignment=assignment,
-            top_k=top_k,
-        )
-    elif any(v is not None for v in (shards, strategy, assignment, top_k)):
-        raise ParameterError("pass either config or partitioning kwargs, not both")
-    return partition_group(group, config)
-
-
 def solve_sharded(
     group: BladeServerGroup,
     total_rate: float,
@@ -429,24 +377,17 @@ def solve_sharded(
     tol: float = DEFAULT_TOL,
     phi_hint: float | Mapping[int, float] | None = None,
     *,
-    config: ShardConfig | None = None,
     plan: ShardPlan | None = None,
-    shards: int | None = None,
-    strategy: str | None = None,
-    assignment=None,
-    top_k: int | None = None,
     live: np.ndarray | None = None,
 ) -> LoadDistributionResult:
-    """Hierarchical sharded solve (``method="sharded"``).
+    """Hierarchical sharded solve over a partition of ``group``.
 
-    Partitions ``group`` per ``config`` (or the ``shards`` /
-    ``strategy`` / ``assignment`` / ``top_k`` shorthand kwargs; or a
-    prebuilt ``plan``, which wins), solves each shard's inner KKT
-    splits at the shared trial multiplier in one batched sweep, and
-    equalizes marginal cost across shards with the outer dual ascent.
-    With ``top_k=None`` the answer matches the flat solve to solver
-    tolerance; with pruning the gap is measured by
-    :func:`repro.shard.sparse.pruning_gap_report`.
+    ``plan`` names the partition (``partition_group(group, config)``;
+    ``None`` means ``partition_group(group)``) and must have been built
+    for ``group``.  Each shard's inner KKT splits are solved at the
+    shared trial multiplier in one batched sweep, and the outer dual
+    ascent equalizes marginal cost across shards; the answer matches
+    the flat solve to solver tolerance.
 
     ``phi_hint`` accepts a float (shared multiplier) or a mapping of
     per-shard hints ``{shard_index: phi}`` — see
@@ -459,15 +400,10 @@ def solve_sharded(
     capacity must exceed ``total_rate``), else
     :class:`~repro.core.exceptions.InfeasibleError` is raised.
     """
-    plan = resolve_plan(
-        group,
-        config=config,
-        plan=plan,
-        shards=shards,
-        strategy=strategy,
-        assignment=assignment,
-        top_k=top_k,
-    )
+    if plan is None:
+        plan = partition_group(group)
+    elif plan.group is not group:
+        raise ParameterError("plan was built for a different group")
     coordinator = ShardCoordinator(plan, total_rate, discipline, tol, live=live)
     o = get_obs()
     if not o.enabled:
@@ -477,7 +413,6 @@ def solve_sharded(
         n=group.n,
         shards=plan.n_shards,
         strategy=plan.config.strategy,
-        top_k=plan.config.top_k if plan.config.top_k is not None else 0,
         candidates=int(coordinator.cand.size),
     ) as span:
         result = coordinator.solve(phi_hint)
@@ -497,7 +432,3 @@ def solve_sharded(
         fam.observe(max(load / total, 1e-300))
     return result
 
-
-# Registered at import time (repro/__init__ imports this package);
-# replace=True keeps importlib.reload() in tests idempotent.
-register_method("sharded", solve_sharded, warm_startable=True, replace=True)

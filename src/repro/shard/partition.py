@@ -23,8 +23,9 @@ strategies:
     built-ins cannot express (failure domains, network distance).
 
 A :class:`ShardPlan` is pure topology — which global index belongs to
-which dispatcher — and is shared by the one-shot sharded solver and the
-multi-dispatcher closed loop alike.
+which dispatcher — and is the one way to name a partition: the sharded
+solve (``solve_sharded(..., plan=...)``) and the multi-dispatcher
+closed loop both take it.
 """
 
 from __future__ import annotations
@@ -61,18 +62,11 @@ class ShardConfig(ConfigBase):
         Per-server shard ids, required (and only allowed) with
         ``strategy="custom"``.  Length must equal the group size and
         every id in ``[0, shards)`` must be used.
-    top_k:
-        Sparse candidate pruning: each shard's dispatcher keeps only
-        its ``top_k`` servers by marginal-cost rank (see
-        :mod:`repro.shard.sparse`).  ``None`` disables pruning — every
-        dispatcher considers its whole shard and the sharded solve is
-        exact to solver tolerance.
     """
 
     shards: int = 4
     strategy: str = "contiguous"
     assignment: tuple[int, ...] | None = None
-    top_k: int | None = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -89,8 +83,6 @@ class ShardConfig(ConfigBase):
             object.__setattr__(
                 self, "assignment", tuple(int(s) for s in self.assignment)
             )
-        if self.top_k is not None and self.top_k < 1:
-            raise ParameterError(f"top_k must be >= 1 or None, got {self.top_k}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Examples are the repo's executable documentation; this suite keeps them
 executable.  Each script runs in quick mode (``REPRO_EXAMPLE_QUICK=1``
 — the long-horizon examples honor it and shrink to seconds) with its
 artifacts pointed at a temp directory, and must exit 0 without a
-traceback.  The CI examples job runs exactly this file.
+traceback.  Tier-1 (``python -m pytest``) collects this file, so CI runs
+it with the rest of the suite.
 """
 
 from __future__ import annotations

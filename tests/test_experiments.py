@@ -126,6 +126,13 @@ class TestCLI:
     def test_no_args_is_usage_error(self, capsys):
         assert main([]) == 2
 
-    def test_unknown_experiment_raises(self):
-        with pytest.raises(ParameterError):
-            main(["fig99"])
+    def test_unknown_experiment_is_usage_error(self, capsys):
+        # Every id is checked before any runs: no traceback, and Table 1
+        # is not computed ahead of the bad id.
+        for argv in (["nosuch"], ["table1", "nosuch"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.strip() == (
+                "error: unknown experiment 'nosuch'; see --list"
+            )

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -37,9 +39,14 @@ from repro.obs import (
     profile,
     reset_obs,
 )
+from repro.core.server import BladeServerGroup
 from repro.runtime import RuntimeConfig, run_closed_loop
+from repro.runtime.admission import AdmissionConfig
+from repro.sim.arrivals import ClientWorkload, RetryPolicy
 from repro.workloads.paper import EXAMPLE_TOTAL_RATE
 from repro.workloads.traces import RateTrace
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -495,6 +502,60 @@ class TestClosedLoopChaosTrace:
     def test_profile_disabled_by_default(self, chaos_out):
         out, _ = chaos_out
         assert out.profile is None
+
+
+class TestAdmissionRouteCounters:
+    def test_route_counters_match_runtime_ledger(self):
+        # Admission on, retrying clients, a 2x burst: both the admit and
+        # the shed branch run, through route_offer and _note_admission.
+        group = BladeServerGroup.from_arrays(
+            sizes=[2, 3], speeds=[1.0, 1.5], special_rates=[0.2, 0.3], rbar=1.0
+        )
+        workload = ClientWorkload(
+            class_shares=(0.5, 0.3, 0.2),
+            retry=RetryPolicy(budget=2, timeout=30.0, base_backoff=4.0),
+        )
+        config = RuntimeConfig(
+            router="alias",
+            admission=AdmissionConfig(
+                classes=3, target_delay=4.0, interval=15.0, sojourn_tc=20.0
+            ),
+            obs=ObsConfig(enabled=True, trace=False),
+        )
+        out = run_closed_loop(
+            group,
+            RateTrace.burst(
+                0.8 * group.max_generic_rate, at=50.0, factor=2.0, duration=80.0
+            ),
+            config,
+            horizon=250.0,
+            seed=1,
+            workload=workload,
+            collect_tasks=False,
+        )
+        counters = out.runtime.metrics.counters
+        assert counters.routed > 0 and counters.shed > 0
+        routes = get_obs().registry.get("repro_routes_total").values_by_label()
+        assert routes[("routed",)] == counters.routed
+        assert routes[("shed",)] == counters.shed
+        decisions = get_obs().registry.get("repro_admission_decisions")
+        assert sum(decisions.values_by_label().values()) == (
+            counters.routed + counters.shed
+        )
+
+
+class TestMetricCatalogue:
+    def test_every_registered_family_is_documented(self):
+        pattern = re.compile(
+            r"\.(?:counter|gauge|histogram)\(\s*[\"']((?:repro|runtime)_\w+)[\"']"
+        )
+        names = set()
+        for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+            names.update(pattern.findall(path.read_text(encoding="utf-8")))
+        assert len(names) >= 30  # the scan itself still finds the families
+        doc = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+        documented = set(re.findall(r"`((?:repro|runtime)_\w+)`", doc))
+        assert sorted(names - documented) == []
 
 
 class TestClosedLoopProfileHook:

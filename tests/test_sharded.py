@@ -3,12 +3,12 @@
 Covers partitioning (all three strategies plus validation), cross-shard
 optimality — randomized heterogeneous fleets, parked servers, the
 saturation edge, asserting the hierarchical solve matches the flat
-Newton/KKT optimum to <= 1e-8 in total mean response time — sparse
-candidate pruning (nested sets, monotone gap curve, feasibility
-expansion), warm-start semantics (scalar and per-shard dict hints,
-shard-aware sweeps), the ``method="sharded"`` facade registration, and
-the multi-dispatcher closed loop with per-shard journal/checkpoint
-generations.
+Newton/KKT optimum to <= 1e-8 in total mean response time — warm-start
+semantics (scalar and per-shard dict hints), the ``plan=`` partition
+argument (``solve_sharded`` is deliberately not a ``repro.solve``
+backend), the live-masked failover solve (the exact optimum of the
+surviving servers), and the multi-dispatcher closed loop with per-shard
+journal/checkpoint generations.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import ShardConfig, solve, solve_sweep
+from repro import ShardConfig, solve
 from repro.core.exceptions import ParameterError
 from repro.core.newton import solve_newton
 from repro.core.server import BladeServer, BladeServerGroup
@@ -29,17 +29,14 @@ from repro.runtime.loop import RuntimeConfig
 from repro.shard import (
     ShardCoordinator,
     ShardedDispatcher,
-    candidate_sets,
     partition_group,
-    pruning_gap_report,
-    rank_servers,
     run_sharded_closed_loop,
     shard_seeds,
     solve_sharded,
 )
 from repro.workloads.traces import RateTrace
 
-#: Acceptance bound on |T'_sharded - T'_flat| / T'_flat (pruning off).
+#: Acceptance bound on |T'_sharded - T'_flat| / T'_flat.
 AGREEMENT = 1e-8
 
 
@@ -123,11 +120,7 @@ class TestPartition:
             ShardConfig(assignment=(0, 1))
         with pytest.raises(ParameterError):  # custom without assignment
             ShardConfig(strategy="custom")
-        with pytest.raises(ParameterError):
-            ShardConfig(top_k=0)
-        cfg = ShardConfig(
-            shards=3, strategy="custom", assignment=(0, 1, 2, 1), top_k=2
-        )
+        cfg = ShardConfig(shards=3, strategy="custom", assignment=(0, 1, 2, 1))
         assert ShardConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_expand_scatters_local_vectors(self):
@@ -153,8 +146,11 @@ class TestCrossShardOptimality:
                 lam,
                 discipline,
                 tol=1e-12,
-                config=ShardConfig(
-                    shards=int(rng.integers(2, 7)), strategy=strategy
+                plan=partition_group(
+                    g,
+                    ShardConfig(
+                        shards=int(rng.integers(2, 7)), strategy=strategy
+                    ),
                 ),
             )
             rel = abs(
@@ -172,7 +168,9 @@ class TestCrossShardOptimality:
         g = BladeServerGroup(servers, rbar=1.0)
         lam = 0.05 * g.max_generic_rate
         flat = solve_newton(g, lam, tol=1e-12)
-        sharded = solve_sharded(g, lam, tol=1e-12, shards=4)
+        sharded = solve_sharded(
+            g, lam, tol=1e-12, plan=partition_group(g, ShardConfig(shards=4))
+        )
         assert (flat.generic_rates[8:] == 0.0).all()
         assert (sharded.generic_rates[8:] == 0.0).all()
         rel = abs(
@@ -185,7 +183,9 @@ class TestCrossShardOptimality:
         g = random_group(rng, 24)
         lam = 0.999 * g.max_generic_rate
         flat = solve_newton(g, lam, tol=1e-12)
-        sharded = solve_sharded(g, lam, tol=1e-12, shards=6)
+        sharded = solve_sharded(
+            g, lam, tol=1e-12, plan=partition_group(g, ShardConfig(shards=6))
+        )
         rel = abs(
             sharded.mean_response_time - flat.mean_response_time
         ) / flat.mean_response_time
@@ -196,7 +196,9 @@ class TestCrossShardOptimality:
         g = random_group(np.random.default_rng(13), 20)
         lam = 0.6 * g.max_generic_rate
         flat = solve_newton(g, lam, tol=1e-12)
-        sharded = solve_sharded(g, lam, tol=1e-12, shards=1)
+        sharded = solve_sharded(
+            g, lam, tol=1e-12, plan=partition_group(g, ShardConfig(shards=1))
+        )
         np.testing.assert_allclose(
             sharded.generic_rates, flat.generic_rates, atol=1e-9
         )
@@ -218,16 +220,16 @@ class TestWarmStarts:
     def test_dict_hint_matches_cold(self):
         g = random_group(np.random.default_rng(19), 30)
         lam = 0.6 * g.max_generic_rate
-        cfg = ShardConfig(shards=5)
-        cold = solve_sharded(g, lam, tol=1e-12, config=cfg)
+        plan = partition_group(g, ShardConfig(shards=5))
+        cold = solve_sharded(g, lam, tol=1e-12, plan=plan)
         warm = solve_sharded(
             g,
             1.05 * lam,
             tol=1e-12,
-            config=cfg,
+            plan=plan,
             phi_hint=cold.metadata["shard_phi"],
         )
-        ref = solve_sharded(g, 1.05 * lam, tol=1e-12, config=cfg)
+        ref = solve_sharded(g, 1.05 * lam, tol=1e-12, plan=plan)
         np.testing.assert_allclose(
             warm.generic_rates, ref.generic_rates, atol=1e-8
         )
@@ -235,118 +237,35 @@ class TestWarmStarts:
     def test_scalar_and_garbage_hints_are_safe(self):
         g = random_group(np.random.default_rng(23), 16)
         lam = 0.5 * g.max_generic_rate
-        cfg = ShardConfig(shards=4)
-        ref = solve_sharded(g, lam, tol=1e-12, config=cfg)
+        plan = partition_group(g, ShardConfig(shards=4))
+        ref = solve_sharded(g, lam, tol=1e-12, plan=plan)
         for hint in (ref.phi, ref.phi * 1e30, float("nan"), -3.0, {0: -1.0}):
-            res = solve_sharded(g, lam, tol=1e-12, config=cfg, phi_hint=hint)
+            res = solve_sharded(g, lam, tol=1e-12, plan=plan, phi_hint=hint)
             np.testing.assert_allclose(
                 res.generic_rates, ref.generic_rates, atol=1e-8
             )
 
-    def test_sweep_threads_per_shard_hints(self):
-        g = random_group(np.random.default_rng(29), 24)
-        rates = np.linspace(0.2, 0.8, 6) * g.max_generic_rate
-        warm = solve_sweep(g, rates, method="sharded", shards=4)
-        cold = solve_sweep(g, rates, method="newton", warm_start=False)
-        for w, c in zip(warm, cold):
-            rel = abs(
-                w.mean_response_time - c.mean_response_time
-            ) / c.mean_response_time
-            assert rel <= AGREEMENT
-            assert w.metadata["shards"] == 4
-
-
-class TestSparsePruning:
-    def test_candidate_sets_are_nested_in_k(self):
-        g = random_group(np.random.default_rng(31), 40)
-        lam = 0.4 * g.max_generic_rate
-        plan = partition_group(g, ShardConfig(shards=4))
-        previous = None
-        for k in (2, 4, 6, 8):
-            kept = candidate_sets(plan, lam, top_k=k)
-            if previous is not None:
-                for small, big in zip(previous, kept):
-                    assert set(small).issubset(set(big))
-            previous = kept
-
-    def test_rank_follows_zero_load_marginal(self):
-        g = random_group(np.random.default_rng(37), 12)
-        lam = 0.5 * g.max_generic_rate
-        plan = partition_group(g, ShardConfig(shards=1))
-        (order,) = rank_servers(plan, lam)
-        # The cheapest-ranked server is the one the flat optimum loads
-        # most at vanishing load.
-        tiny = solve_newton(g, 1e-6 * g.max_generic_rate, tol=1e-12)
-        assert int(np.argmax(tiny.generic_rates)) == int(order[0])
-
-    def test_feasibility_expansion_admits_extra_candidates(self):
-        g = random_group(np.random.default_rng(41), 24)
-        lam = 0.9 * g.max_generic_rate
-        plan = partition_group(g, ShardConfig(shards=4))
-        kept = candidate_sets(plan, lam, top_k=1)
-        total = sum(k.size for k in kept)
-        assert total > 4  # 4 shards x top_k=1 cannot carry 0.9 capacity
-        caps = g.spare_capacities
-        kept_cap = sum(
-            float(caps[np.asarray(plan.shards[s].members)[kept[s]]].sum())
-            for s in range(plan.n_shards)
-        )
-        assert kept_cap > lam
-
-    def test_pruned_solve_stays_feasible_and_converges(self):
-        g = random_group(np.random.default_rng(43), 32)
-        lam = 0.55 * g.max_generic_rate
-        res = solve_sharded(g, lam, shards=4, top_k=3)
-        assert res.converged
-        assert abs(float(res.generic_rates.sum()) - lam) <= 1e-8 * lam
-        assert res.metadata["pruned"] > 0
-        # Load only lands on kept candidates.
-        plan = partition_group(g, ShardConfig(shards=4, top_k=3))
-        kept = candidate_sets(plan, lam, top_k=3)
-        kept_global = np.concatenate(
-            [
-                np.asarray(plan.shards[s].members)[kept[s]]
-                for s in range(plan.n_shards)
-            ]
-        )
-        outside = np.setdiff1d(np.arange(g.n), kept_global)
-        assert (res.generic_rates[outside] == 0.0).all()
-
-    def test_gap_monotone_nonincreasing_in_k(self):
-        g = random_group(np.random.default_rng(47), 36)
-        lam = 0.5 * g.max_generic_rate
-        report = pruning_gap_report(g, lam, ks=(2, 3, 5, 9), shards=4)
-        gaps = [entry.gap for entry in report.entries]
-        assert [e.top_k for e in report.entries] == [2, 3, 5, 9]
-        for a, b in zip(gaps, gaps[1:]):
-            assert b <= a + 1e-9
-        # Every pruned gap is a true gap (>= 0 up to tolerance) and the
-        # pruning-off sharded solve is flat-exact.
-        assert all(gap >= -1e-9 for gap in gaps)
-        assert abs(report.exact_gap) < 1e-3
-
-    def test_report_roundtrips_to_json_types(self):
-        g = random_group(np.random.default_rng(53), 20)
-        lam = 0.4 * g.max_generic_rate
-        report = pruning_gap_report(g, lam, ks=(2, 4), shards=2)
-        doc = report.to_dict()
-        assert doc["n"] == 20 and len(doc["entries"]) == 2
-        assert isinstance(doc["entries"][0]["gap"], float)
-
 
 class TestFacade:
-    def test_registered_and_warm_startable(self):
-        from repro.core.solvers import warm_startable_methods
+    def test_not_a_facade_backend(self, paper_group):
+        # The sharded solve is partition plumbing for the sharded
+        # runtime, not a repro.solve backend: flat newton gives the
+        # same answer in about the same time.
+        from repro.workloads.paper import EXAMPLE_TOTAL_RATE
 
-        assert "sharded" in repro.available_methods()
-        assert "sharded" in warm_startable_methods()
+        assert "sharded" not in repro.available_methods()
+        with pytest.raises(ParameterError):
+            solve(paper_group, EXAMPLE_TOTAL_RATE, method="sharded")
 
     def test_solve_method_sharded(self, paper_group):
         from repro.workloads.paper import EXAMPLE_TOTAL_RATE
 
-        res = solve(paper_group, EXAMPLE_TOTAL_RATE, method="sharded", shards=3)
+        res = solve_sharded(
+            paper_group,
+            EXAMPLE_TOTAL_RATE,
+            plan=partition_group(paper_group, ShardConfig(shards=3)),
+        )
         flat = solve(paper_group, EXAMPLE_TOTAL_RATE, method="newton")
-        assert res.backend == "sharded"
         assert res.method == "sharded-hierarchical"
         rel = abs(
             res.mean_response_time - flat.mean_response_time
@@ -357,10 +276,6 @@ class TestFacade:
         g = random_group(np.random.default_rng(59), 8)
         lam = 0.3 * g.max_generic_rate
         plan = partition_group(g, ShardConfig(shards=2))
-        with pytest.raises(ParameterError):
-            solve_sharded(g, lam, plan=plan, shards=3)
-        with pytest.raises(ParameterError):
-            solve_sharded(g, lam, config=ShardConfig(shards=2), top_k=3)
         other = random_group(np.random.default_rng(60), 8)
         with pytest.raises(ParameterError):
             solve_sharded(other, lam, plan=plan)
@@ -368,10 +283,12 @@ class TestFacade:
     def test_metadata_surface(self):
         g = random_group(np.random.default_rng(61), 15)
         lam = 0.5 * g.max_generic_rate
-        res = solve_sharded(g, lam, shards=3, strategy="type")
+        res = solve_sharded(
+            g, lam, plan=partition_group(g, ShardConfig(shards=3, strategy="type"))
+        )
         md = res.metadata
         assert md["shards"] == 3 and md["strategy"] == "type"
-        assert md["candidates"] == 15 and md["pruned"] == 0
+        assert md["candidates"] == 15
         assert set(md["shard_phi"]) == {0, 1, 2}
         assert len(md["shard_loads"]) == 3
         assert abs(sum(md["shard_loads"]) - lam) <= 1e-8 * lam
@@ -565,3 +482,35 @@ class TestLiveMaskedSolve:
         )
         with pytest.raises(ParameterError):
             plan.live_capacity(np.array([True, False]))
+
+    @pytest.mark.parametrize("discipline", ["fcfs", "priority"])
+    def test_masked_solve_is_the_survivors_optimum(self, discipline):
+        # Failover's re-solve must be the exact optimum of the servers
+        # that are left: restricted to the live members it matches a
+        # flat Newton solve over just those servers.
+        rng = np.random.default_rng(67)
+        for trial in range(10):
+            g = random_group(rng, int(rng.integers(6, 61)))
+            plan = partition_group(
+                g, ShardConfig(shards=int(rng.integers(2, 6)))
+            )
+            live = np.ones(plan.n_shards, dtype=bool)
+            live[int(rng.integers(plan.n_shards))] = False
+            survivors = np.concatenate(
+                [np.asarray(s.members) for s in plan.shards if live[s.index]]
+            )
+            subgroup = BladeServerGroup(
+                (g.servers[i] for i in survivors), rbar=g.rbar
+            )
+            lam = float(rng.uniform(0.2, 0.85)) * subgroup.max_generic_rate
+            masked = solve_sharded(
+                g, lam, discipline, tol=1e-12, plan=plan, live=live
+            )
+            flat = solve_newton(subgroup, lam, discipline, tol=1e-12)
+            t_masked = subgroup.mean_response_time(
+                masked.generic_rates[survivors], discipline
+            )
+            rel = abs(t_masked - flat.mean_response_time) / (
+                flat.mean_response_time
+            )
+            assert rel <= 1e-9, (trial, rel)

@@ -85,7 +85,7 @@ def test_sharded_solver_scaling(quick, n):
         1.01 * lam,
         "fcfs",
         TOL,
-        dict(sharded.metadata["shard_phi"]),
+        sharded.phi,
         plan=plan,
     )
     t_warm = time.perf_counter() - t0

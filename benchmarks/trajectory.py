@@ -143,9 +143,9 @@ def measure_trajectory(sizes=FULL_SIZES, quick: bool = False) -> dict:
                 "iterations": int(result.iterations),
                 "t_prime": float(result.mean_response_time),
             }
-        # Sharded control plane: cold hierarchical solve, then a warm
-        # re-solve carrying the per-shard multiplier dict — the same
-        # hint the coordinator threads between rebalance ticks.
+        # Sharded control plane: cold solve, then a warm re-solve from
+        # its multiplier — the same hint the coordinator threads
+        # between rebalance ticks.
         plan = partition_group(group, ShardConfig(shards=SHARDS))
         latency, result = _time_sharded(group, lam, plan, _REPS["sharded"])
         assert result.converged, f"sharded did not converge at n={n}"
@@ -160,9 +160,8 @@ def measure_trajectory(sizes=FULL_SIZES, quick: bool = False) -> dict:
             "gap_vs_newton": sharded_gap,
         }
         cold_latency["sharded"] = latency
-        warm_hint = dict(result.metadata["shard_phi"])
         latency, result = _time_sharded(
-            group, 1.01 * lam, plan, _REPS["sharded"], phi_hint=warm_hint
+            group, 1.01 * lam, plan, _REPS["sharded"], phi_hint=result.phi
         )
         entries[f"sharded-warm@n={n}"] = {
             "median_seconds": latency,

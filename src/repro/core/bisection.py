@@ -202,8 +202,8 @@ def find_lambda_i(
         ``[0, (1 - eps)(m/xbar - lambda''))``.  Returns 0.0 when even an
         infinitesimal generic load costs more than ``phi``.
     """
-    if tol <= 0.0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
     cap = m / xbar - special_rate
     if cap <= 0.0:
         return 0.0

@@ -358,7 +358,7 @@ def _inner_newton(
     xbars: np.ndarray,
     specials: np.ndarray,
     total_rate: float,
-    phi: float | np.ndarray,
+    phi: float,
     disc: Discipline,
     tol: float,
     x0: np.ndarray,
@@ -372,16 +372,10 @@ def _inner_newton(
     bracket is replaced by the bracket midpoint.  Returns the roots,
     the slopes ``g_i'`` at the roots (the outer dual ascent needs
     ``sum 1/g'``), and the number of batched kernel sweeps.
-
-    ``phi`` may be a scalar (one multiplier for every server — the flat
-    solve) or a per-server vector: the sharded coordinator evaluates
-    several shards' load responses at *different* multipliers in one
-    batched sweep this way (see :mod:`repro.shard.coordinator`).
     """
     x = np.clip(x0, lb, ub)
     lb = lb.copy()
     ub = ub.copy()
-    phis = np.broadcast_to(np.asarray(phi, dtype=float), x.shape)
     dg_out = np.full(x.shape, np.inf)
     # A server is frozen once its marginal residual reaches evaluation
     # noise (a couple of ulps of phi — bisection cannot refine past the
@@ -391,7 +385,7 @@ def _inner_newton(
     # would otherwise misread as a failed step and bisect *away* from
     # the root.  Each sweep then re-evaluates only the live subset, so
     # the batched kernel shrinks as servers converge.
-    noise = 8.9e-16 * np.abs(phis)
+    noise = 8.9e-16 * abs(phi)
     done = (ub - lb) <= tol
     sweeps = 0
     for _ in range(_MAX_INNER_SWEEPS):
@@ -404,11 +398,11 @@ def _inner_newton(
             ms[idx], xbars[idx], specials[idx], xs, total_rate, disc
         )
         dg_out[idx] = dg
-        resid = g - phis[idx]
+        resid = g - phi
         below = resid < 0.0
         lbs = np.where(below, xs, lb[idx])
         ubs = np.where(below, ub[idx], xs)
-        frozen = (np.abs(resid) <= noise[idx]) | (ubs - lbs <= tol)
+        frozen = (np.abs(resid) <= noise) | (ubs - lbs <= tol)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             xn = xs - resid / dg
         bad = ~np.isfinite(xn) | (xn <= lbs) | (xn >= ubs)
@@ -422,43 +416,29 @@ def _inner_newton(
     return np.clip(x, lb, ub), dg_out, sweeps
 
 
-def solve_newton(
-    group: BladeServerGroup,
+def dual_ascent(
+    ms: np.ndarray,
+    xbars: np.ndarray,
+    specials: np.ndarray,
+    caps: np.ndarray,
     total_rate: float,
-    discipline: Discipline | str = Discipline.FCFS,
-    tol: float = DEFAULT_TOL,
-    phi_hint: float | None = None,
-) -> LoadDistributionResult:
-    """Optimal load distribution via damped-Newton dual ascent.
+    disc: Discipline,
+    tol: float,
+    phi_hint: float | None,
+) -> tuple[np.ndarray, float, int, int]:
+    """The damped-Newton dual ascent on raw per-server arrays.
 
-    Drop-in replacement for the bisection/KKT backends (same optimum,
-    agreement asserted to <= 1e-9 by the test suite); registered as
-    ``method="newton"`` in the solver registry.
-
-    Parameters
-    ----------
-    tol:
-        Convergence tolerance on the per-server rates and (relative to
-        the total) on the budget residual.
-    phi_hint:
-        Optional warm start for the dual multiplier, typically the
-        converged ``phi`` of a neighbouring sweep point or the previous
-        controller tick (see :func:`repro.api.solve_sweep`).  A hint
-        outside the feasible multiplier band — per-shard hints carried
-        across drifting shard loads land there routinely — is detected
-        against the precomputed band and re-anchored to the cold-start
-        seed, so a stale hint costs at most one extra batched
-        evaluation, never a safeguarded re-bracketing walk.
+    ``ms``, ``xbars``, ``specials`` and ``caps`` are the servers' sizes,
+    mean service times, special-task rates and spare capacities; the
+    caller has already checked that ``total_rate`` is feasible for
+    them.  Returns ``(rates, phi, iterations, inner_sweeps)`` with the
+    rates settled onto the budget.  :func:`solve_newton` runs it on a
+    whole group; the sharded coordinator runs it on the live shards'
+    members (:mod:`repro.shard.coordinator`).
     """
-    disc = Discipline.coerce(discipline)
-    group.check_feasible(total_rate)
-    if tol <= 0.0:
-        raise ParameterError(f"tol must be > 0, got {tol}")
-    ms = group.sizes.astype(np.int64)
-    xbars = group.xbars.astype(float)
-    specials = group.special_rates.astype(float)
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
     n = ms.shape[0]
-    caps = group.spare_capacities
     hard_caps = np.where(caps > 0.0, (1.0 - STABILITY_MARGIN) * caps, 0.0)
     zeros = np.zeros(n)
 
@@ -491,8 +471,8 @@ def solve_newton(
 
     def rates_at(
         phi: float, lo: np.ndarray, hi: np.ndarray
-    ) -> tuple[np.ndarray, float, np.ndarray]:
-        """``(rates, F'(phi), rates)`` at multiplier ``phi``.
+    ) -> tuple[np.ndarray, float]:
+        """``(rates, F'(phi))`` at multiplier ``phi``.
 
         ``lo``/``hi`` are component-wise root bounds carried over from
         rate vectors already computed at smaller/larger multipliers
@@ -501,7 +481,7 @@ def solve_newton(
         nonlocal inner_sweeps, prev_rates
         active = (caps > 0.0) & (g0 < phi)
         if not active.any():
-            return zeros.copy(), 0.0, zeros.copy()
+            return zeros.copy(), 0.0
         pinned = active & (gcap < phi)
         free = active & ~pinned
         rates = np.where(pinned, hard_caps, 0.0)
@@ -524,7 +504,7 @@ def solve_newton(
         else:
             fprime = 0.0
         prev_rates = rates
-        return rates, fprime, rates
+        return rates, fprime
 
     # The zero-load and capacity marginals bound the multiplier a
     # priori: F(phi) = 0 for phi <= min g0 (everything parked) and
@@ -532,8 +512,8 @@ def solve_newton(
     # the root lives inside the *finite* bracket (phi_floor, phi_ceil].
     # Seeding the outer safeguard with that bracket — instead of
     # (0, inf) — means a warm ``phi_hint`` that drifted outside the
-    # feasible band (per-shard hints across drifting shard loads do
-    # this routinely) is clamped and re-bracketed in O(1) instead of
+    # feasible band (a previous tick's hint after a large rate step
+    # does this routinely) is clamped and re-bracketed in O(1) instead of
     # spending safeguarded outer iterations walking back inside.
     live = caps > 0.0
     phi_floor = float(g0[live].min())
@@ -577,12 +557,12 @@ def solve_newton(
                 "solve.outer", iter=iterations, phi=phi, phi_lo=phi_lo, phi_hi=phi_hi
             ) as sp:
                 before = inner_sweeps
-                rates, fprime, _ = rates_at(phi, r_lo, r_hi)
+                rates, fprime = rates_at(phi, r_lo, r_hi)
                 sp.note(
                     inner_sweeps=inner_sweeps - before, sum_rates=float(rates.sum())
                 )
         else:
-            rates, fprime, _ = rates_at(phi, r_lo, r_hi)
+            rates, fprime = rates_at(phi, r_lo, r_hi)
         resid = float(rates.sum()) - total_rate
         if abs(resid) <= budget_tol:
             converged = True
@@ -622,10 +602,52 @@ def solve_newton(
         phi = float(cand)
     if not converged:
         raise ConvergenceError(
-            f"solve_newton: no convergence in {_MAX_OUTER} outer iterations "
+            f"dual ascent: no convergence in {_MAX_OUTER} outer iterations "
             f"(residual {resid:.3e})"
         )
     rates = settle_residual(rates, total_rate, hard_caps)
+    return rates, phi, iterations, inner_sweeps
+
+
+def solve_newton(
+    group: BladeServerGroup,
+    total_rate: float,
+    discipline: Discipline | str = Discipline.FCFS,
+    tol: float = DEFAULT_TOL,
+    phi_hint: float | None = None,
+) -> LoadDistributionResult:
+    """Optimal load distribution via damped-Newton dual ascent.
+
+    Drop-in replacement for the bisection/KKT backends (same optimum,
+    agreement asserted to <= 1e-9 by the test suite); registered as
+    ``method="newton"`` in the solver registry.
+
+    Parameters
+    ----------
+    tol:
+        Convergence tolerance on the per-server rates and (relative to
+        the total) on the budget residual; must be finite and positive.
+    phi_hint:
+        Optional warm start for the dual multiplier, typically the
+        converged ``phi`` of a neighbouring sweep point or the previous
+        controller tick (see :func:`repro.api.solve_sweep`).  A hint
+        outside the feasible multiplier band is detected against the
+        precomputed band and re-anchored to the cold-start seed, so a
+        stale hint costs at most one extra batched evaluation, never a
+        safeguarded re-bracketing walk.
+    """
+    disc = Discipline.coerce(discipline)
+    group.check_feasible(total_rate)
+    rates, phi, iterations, inner_sweeps = dual_ascent(
+        group.sizes.astype(np.int64),
+        group.xbars.astype(float),
+        group.special_rates.astype(float),
+        group.spare_capacities,
+        total_rate,
+        disc,
+        tol,
+        phi_hint,
+    )
     return LoadDistributionResult(
         generic_rates=rates,
         mean_response_time=group.mean_response_time(rates, disc),

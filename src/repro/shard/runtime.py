@@ -13,8 +13,8 @@ aggregated rate estimates and pushes the result down as
 * **shard shares** — the fraction of the arrival stream each shard
   dispatcher owns (Bernoulli splitting keeps every shard's substream
   Poisson, so each inner runtime still operates in the paper's model);
-* **per-shard warm starts** — the converged global multiplier primes
-  every shard controller's ``phi_hint``
+* **warm starts** — the converged global multiplier primes every
+  shard controller's ``phi_hint``
   (:meth:`~repro.runtime.controller.ResolveController.prime_phi_hint`),
   so the next drift-triggered local re-solve starts in the quadratic
   basin.
@@ -198,7 +198,9 @@ class ShardedDispatcher:
         self._tol = solver_tol
         self._solve = solve_fn if solve_fn is not None else _default_coordinator_solve
         self._pending = 0
-        self._shard_phi: dict[int, float] | None = None
+        #: The last rebalance's multiplier; ``None`` keeps the first
+        #: rebalance cold.
+        self._phi: float | None = None
         self.rebalances = 0
         #: Per-shard liveness: ``False`` while a shard is killed,
         #: stalled, or awaiting splice-back.
@@ -242,8 +244,10 @@ class ShardedDispatcher:
     def set_shares(self, shares: np.ndarray) -> None:
         """Adopt new per-shard arrival fractions (renormalized)."""
         shares = np.asarray(shares, dtype=float)
-        if shares.shape != (self.plan.n_shards,) or (shares < 0.0).any():
-            raise ParameterError("shares must be one non-negative value per shard")
+        if shares.shape != (self.plan.n_shards,) or not (
+            np.isfinite(shares).all() and (shares >= 0.0).all()
+        ):
+            raise ParameterError("shares must be finite, non-negative, one per shard")
         total = float(shares.sum())
         if total <= 0.0:
             shares = np.full(self.plan.n_shards, 1.0 / self.plan.n_shards)
@@ -274,11 +278,11 @@ class ShardedDispatcher:
     def rebalance(self, now: float, live: np.ndarray | None = None) -> None:
         """One coordinator tick: global re-solve, push shares and hints.
 
-        Runs the hierarchical solve on the full group at the shards'
+        Runs the sharded solve on the full group at the shards'
         aggregated rate estimate (warm-started from the previous tick's
-        per-shard multipliers), adopts the resulting shard load shares
-        for arrival splitting, and primes every live shard controller's
-        ``phi_hint`` with the converged global multiplier.
+        multiplier), adopts the resulting shard load shares for arrival
+        splitting, and primes every live shard controller's ``phi_hint``
+        with the converged global multiplier.
 
         ``live`` masks the solve to the surviving shards (the
         supervisor's failover view): dead shards contribute no
@@ -301,11 +305,11 @@ class ShardedDispatcher:
             lam,
             self.runtimes[0].config.discipline,
             method="sharded",
-            phi_hint=self._shard_phi,
+            phi_hint=self._phi,
             plan=self.plan,
             **kwargs,
         )
-        self._shard_phi = dict(result.metadata["shard_phi"])
+        self._phi = result.phi
         loads = np.asarray(result.metadata["shard_loads"], dtype=float)
         self.set_shares(loads)
         for shard_index, runtime in enumerate(self.runtimes):
@@ -313,7 +317,7 @@ class ShardedDispatcher:
                 continue
             if live_mask is not None and not live_mask[shard_index]:
                 continue
-            runtime.controller.prime_phi_hint(self._shard_phi[shard_index])
+            runtime.controller.prime_phi_hint(self._phi)
         self.rebalances += 1
         o = get_obs()
         if o.enabled:
@@ -626,9 +630,7 @@ def run_sharded_closed_loop(
         initial = max(float(loads[shard.index]), 1e-9 * shard.capacity)
         initial_rates.append(initial)
         runtimes.append(LoadDistributionRuntime(shard.group, initial, shard_cfg))
-        runtimes[-1].controller.prime_phi_hint(
-            bootstrap.metadata["shard_phi"][shard.index]
-        )
+        runtimes[-1].controller.prime_phi_hint(bootstrap.phi)
 
     solve_fn = None
     if fault_plan is not None:

@@ -3,8 +3,10 @@
 Covers partitioning (all three strategies plus validation), cross-shard
 optimality — randomized heterogeneous fleets, parked servers, the
 saturation edge, asserting the hierarchical solve matches the flat
-Newton/KKT optimum to <= 1e-8 in total mean response time — warm-start
-semantics (scalar and per-shard dict hints), the ``plan=`` partition
+Newton/KKT optimum to <= 1e-8 in total mean response time — the exact
+certificate (all shards live: bit-identical to ``solve_newton``; live
+mask: bit-identical to ``solve_newton`` on the survivors), scalar
+warm starts, the ``plan=`` partition
 argument (``solve_sharded`` is deliberately not a ``repro.solve``
 backend), the live-masked failover solve (the exact optimum of the
 surviving servers), and the multi-dispatcher closed loop with per-shard
@@ -27,13 +29,13 @@ from repro.core.server import BladeServer, BladeServerGroup
 from repro.recovery import RecoveryConfig
 from repro.runtime.loop import RuntimeConfig
 from repro.shard import (
-    ShardCoordinator,
     ShardedDispatcher,
     partition_group,
     run_sharded_closed_loop,
     shard_seeds,
     solve_sharded,
 )
+from repro.shard.runtime import _default_coordinator_solve
 from repro.workloads.traces import RateTrace
 
 #: Acceptance bound on |T'_sharded - T'_flat| / T'_flat.
@@ -203,21 +205,69 @@ class TestCrossShardOptimality:
             sharded.generic_rates, flat.generic_rates, atol=1e-9
         )
 
-    def test_shard_response_is_nondecreasing_in_phi(self):
-        g = random_group(np.random.default_rng(17), 18)
-        lam = 0.5 * g.max_generic_rate
-        plan = partition_group(g, ShardConfig(shards=3))
-        coord = ShardCoordinator(plan, lam, tol=1e-10)
-        phis = np.geomspace(coord.phi_floor * 1.01, coord.phi_floor * 50, 8)
-        prev = np.zeros(plan.n_shards)
-        for phi in phis:
-            loads, _, _ = coord.response(float(phi))
-            assert (loads >= prev - 1e-9).all()
-            prev = loads
+
+class TestExactCertificate:
+    """``solve_sharded`` is flat Newton on the live members, bit for bit."""
+
+    @pytest.mark.parametrize("discipline", ["fcfs", "priority"])
+    def test_all_live_equals_flat_newton(self, discipline):
+        rng = np.random.default_rng(71)
+        for trial in range(4):
+            g = random_group(rng, int(rng.integers(8, 50)))
+            lam = float(rng.uniform(0.2, 0.9)) * g.max_generic_rate
+            hint = solve_newton(g, 0.97 * lam, discipline).phi
+            plans = [
+                partition_group(g, ShardConfig(shards=4)),
+                partition_group(g, ShardConfig(shards=4, strategy="type")),
+                partition_group(
+                    g,
+                    ShardConfig(
+                        shards=3,
+                        strategy="custom",
+                        assignment=tuple(i % 3 for i in range(g.n)),
+                    ),
+                ),
+            ]
+            for phi_hint in (None, hint):
+                flat = solve_newton(g, lam, discipline, phi_hint=phi_hint)
+                for plan in plans:
+                    res = solve_sharded(
+                        g, lam, discipline, phi_hint=phi_hint, plan=plan
+                    )
+                    key = (trial, plan.config.strategy, phi_hint)
+                    assert np.array_equal(
+                        res.generic_rates, flat.generic_rates
+                    ), key
+                    assert res.phi == flat.phi, key
+                    assert res.iterations == flat.iterations, key
+
+    @pytest.mark.parametrize("discipline", ["fcfs", "priority"])
+    def test_masked_equals_flat_newton_on_survivors(self, discipline):
+        rng = np.random.default_rng(73)
+        for trial in range(6):
+            g = random_group(rng, int(rng.integers(8, 50)))
+            # The type strategy interleaves shard members, so the
+            # survivors are not a contiguous slice of the group.
+            plan = partition_group(g, ShardConfig(shards=4, strategy="type"))
+            live = np.ones(plan.n_shards, dtype=bool)
+            live[int(rng.integers(plan.n_shards))] = False
+            alive = live[plan.assignment]
+            survivors = np.flatnonzero(alive)
+            subgroup = BladeServerGroup(
+                (g.servers[i] for i in survivors), rbar=g.rbar
+            )
+            lam = float(rng.uniform(0.2, 0.85)) * subgroup.max_generic_rate
+            flat = solve_newton(subgroup, lam, discipline)
+            res = solve_sharded(g, lam, discipline, plan=plan, live=live)
+            assert np.array_equal(
+                res.generic_rates[survivors], flat.generic_rates
+            ), trial
+            assert res.phi == flat.phi and res.iterations == flat.iterations
+            assert (res.generic_rates[~alive] == 0.0).all()
 
 
 class TestWarmStarts:
-    def test_dict_hint_matches_cold(self):
+    def test_scalar_hint_matches_cold(self):
         g = random_group(np.random.default_rng(19), 30)
         lam = 0.6 * g.max_generic_rate
         plan = partition_group(g, ShardConfig(shards=5))
@@ -227,7 +277,7 @@ class TestWarmStarts:
             1.05 * lam,
             tol=1e-12,
             plan=plan,
-            phi_hint=cold.metadata["shard_phi"],
+            phi_hint=cold.phi,
         )
         ref = solve_sharded(g, 1.05 * lam, tol=1e-12, plan=plan)
         np.testing.assert_allclose(
@@ -239,7 +289,7 @@ class TestWarmStarts:
         lam = 0.5 * g.max_generic_rate
         plan = partition_group(g, ShardConfig(shards=4))
         ref = solve_sharded(g, lam, tol=1e-12, plan=plan)
-        for hint in (ref.phi, ref.phi * 1e30, float("nan"), -3.0, {0: -1.0}):
+        for hint in (ref.phi, ref.phi * 1e30, float("nan"), -3.0):
             res = solve_sharded(g, lam, tol=1e-12, plan=plan, phi_hint=hint)
             np.testing.assert_allclose(
                 res.generic_rates, ref.generic_rates, atol=1e-8
@@ -289,7 +339,6 @@ class TestFacade:
         md = res.metadata
         assert md["shards"] == 3 and md["strategy"] == "type"
         assert md["candidates"] == 15
-        assert set(md["shard_phi"]) == {0, 1, 2}
         assert len(md["shard_loads"]) == 3
         assert abs(sum(md["shard_loads"]) - lam) <= 1e-8 * lam
 
@@ -419,10 +468,63 @@ class TestDispatcherEdgeCases:
         dispatcher.observe_arrival(0.0)
         assert dispatcher.route() == -1
 
-    def test_negative_share_rejected(self):
+    @pytest.mark.parametrize(
+        "shares",
+        [[-0.1, 1.1], [np.nan, 1.0], [np.inf, 1.0]],
+        ids=["negative", "nan", "inf"],
+    )
+    def test_negative_share_rejected(self, shares):
         dispatcher = self._dispatcher()
         with pytest.raises(ParameterError):
-            dispatcher.set_shares(np.array([-0.1, 1.1]))
+            dispatcher.set_shares(np.array(shares))
+
+
+class TestWarmRebalance:
+    def test_warm_rebalance_after_rate_drop_costs_no_more_than_cold(self):
+        # A rebalance warm-starts from the previous tick's multiplier;
+        # after the offered rate drops that hint must not cost more
+        # outer iterations than solving from scratch.
+        from repro.runtime.loop import LoadDistributionRuntime
+
+        g = BladeServerGroup(
+            [
+                BladeServer(size=1 + i % 16, speed=0.6 + 0.01 * (i % 120))
+                for i in range(64)
+            ],
+            rbar=1.0,
+        )
+        plan = partition_group(g, ShardConfig(shards=8))
+        lam = 0.192
+        runtimes = [
+            LoadDistributionRuntime(s.group, lam / 8, RuntimeConfig())
+            for s in plan.shards
+        ]
+        results = []
+
+        def recording_solve(*args, **kwargs):
+            result = _default_coordinator_solve(*args, **kwargs)
+            results.append(result)
+            return result
+
+        dispatcher = ShardedDispatcher(
+            plan,
+            runtimes,
+            np.full(8, 1 / 8),
+            np.random.default_rng(0),
+            solve_fn=recording_solve,
+        )
+        readings = iter([lam, 0.98 * lam])
+
+        class StubRateView:
+            def estimate(self, now):
+                return next(readings)
+
+        dispatcher._rate_view = StubRateView()
+        dispatcher.rebalance(0.0)
+        dispatcher.rebalance(1.0)
+        cold = solve_sharded(g, 0.98 * lam, plan=plan)
+        assert len(results) == 2
+        assert results[1].iterations <= cold.iterations
 
 
 class TestLiveMaskedSolve:

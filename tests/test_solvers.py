@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bisection import calculate_t_prime, find_lambda_i
+from repro.core.bisection import calculate_t_prime, find_lambda_i, solve_bisection
 from repro.core.closed_form import solve_closed_form
 from repro.core.exceptions import InfeasibleError, ParameterError
 from repro.core.kkt import rate_for_multiplier, solve_kkt
+from repro.core.newton import solve_newton
 from repro.core.nlp import solve_nlp
 from repro.core.objective import gradient, marginal_cost
 from repro.core.server import BladeServerGroup
@@ -23,6 +24,8 @@ from repro.core.solvers import (
     dispatch,
     resolve_method,
 )
+from repro.shard import solve_sharded
+from repro.workloads.paper import EXAMPLE_TOTAL_RATE
 
 DISCIPLINES = ["fcfs", "priority"]
 
@@ -337,3 +340,19 @@ class TestEdgeCases:
         )
         res = solve_kkt(group, 0.5 * group.max_generic_rate)
         assert np.allclose(res.generic_rates, res.generic_rates[0], rtol=1e-6)
+
+
+class TestToleranceValidation:
+    """A tolerance that is not finite and positive is a usage error.
+
+    ``tol=inf`` would otherwise stop every bisection and Newton loop at
+    once and report a suboptimal split as converged.
+    """
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "solver", [solve_newton, solve_bisection, solve_sharded]
+    )
+    def test_rejected(self, paper_group, solver, tol):
+        with pytest.raises(ParameterError, match="tol"):
+            solver(paper_group, EXAMPLE_TOTAL_RATE, "fcfs", tol=tol)

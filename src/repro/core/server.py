@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,8 +91,25 @@ class BladeServer:
         return self.special_rate * self.xbar(rbar) / self.size
 
 
+class _GroupArrays(NamedTuple):
+    """The per-server parameter vectors of a group, built once, read-only."""
+
+    sizes: np.ndarray
+    speeds: np.ndarray
+    special_rates: np.ndarray
+    xbars: np.ndarray
+    spare_capacities: np.ndarray
+
+
 class BladeServerGroup:
     """An ordered group of heterogeneous blade servers sharing one workload.
+
+    The group is immutable, so its per-server vectors (:attr:`sizes`,
+    :attr:`speeds`, :attr:`special_rates`, :attr:`xbars`,
+    :attr:`spare_capacities`) are built once, on first access, and
+    returned as read-only views: repeated reads cost O(1), and an
+    in-place write raises ``ValueError``.  Callers that need a mutable
+    vector take a ``.copy()``.
 
     Parameters
     ----------
@@ -218,25 +236,38 @@ class BladeServerGroup:
         """Number of blade servers in the group."""
         return len(self._servers)
 
+    @cached_property
+    def _arrays(self) -> _GroupArrays:
+        sizes = np.array([s.size for s in self._servers], dtype=np.int64)
+        speeds = np.array([s.speed for s in self._servers], dtype=float)
+        special_rates = np.array([s.special_rate for s in self._servers], dtype=float)
+        xbars = self._rbar / speeds
+        arrays = _GroupArrays(
+            sizes, speeds, special_rates, xbars, sizes / xbars - special_rates
+        )
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
     @property
     def sizes(self) -> np.ndarray:
-        """Vector of server sizes ``m_i``."""
-        return np.array([s.size for s in self._servers], dtype=np.int64)
+        """Vector of server sizes ``m_i`` (read-only view)."""
+        return self._arrays.sizes
 
     @property
     def speeds(self) -> np.ndarray:
-        """Vector of blade speeds ``s_i``."""
-        return np.array([s.speed for s in self._servers], dtype=float)
+        """Vector of blade speeds ``s_i`` (read-only view)."""
+        return self._arrays.speeds
 
     @property
     def xbars(self) -> np.ndarray:
-        """Vector of mean service times ``xbar_i = rbar / s_i``."""
-        return self._rbar / self.speeds
+        """Vector of mean service times ``xbar_i = rbar / s_i`` (read-only view)."""
+        return self._arrays.xbars
 
     @property
     def special_rates(self) -> np.ndarray:
-        """Vector of special-task arrival rates ``lambda''_i``."""
-        return np.array([s.special_rate for s in self._servers], dtype=float)
+        """Vector of special-task arrival rates ``lambda''_i`` (read-only view)."""
+        return self._arrays.special_rates
 
     @property
     def special_utilizations(self) -> np.ndarray:
@@ -255,8 +286,8 @@ class BladeServerGroup:
 
     @property
     def spare_capacities(self) -> np.ndarray:
-        """Per-server saturation points ``m_i/xbar_i - lambda''_i``."""
-        return self.sizes / self.xbars - self.special_rates
+        """Per-server saturation points ``m_i/xbar_i - lambda''_i`` (read-only view)."""
+        return self._arrays.spare_capacities
 
     @property
     def max_generic_rate(self) -> float:

@@ -37,6 +37,7 @@ fault specs into engine control events.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -576,8 +577,8 @@ def run_sharded_closed_loop(
     (metrics, resolve logs, recovery state) ride along on the
     dispatcher, fleet-level metrics on ``report.supervisor``.
     """
-    if horizon <= 0.0:
-        raise ParameterError(f"horizon must be > 0, got {horizon}")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ParameterError(f"horizon must be finite and > 0, got {horizon}")
     plan = partition_group(group, shard_config)
 
     shard_fault_specs = ()

@@ -10,6 +10,15 @@ The engine is the validation substrate for the analytical model: run it
 at the optimizer's rates and the measured mean generic response time
 must match the closed-form ``T'`` (the integration tests assert this
 within confidence intervals — a check the paper itself never performs).
+
+The work per task is O(1) in the number of servers ``n``: the group's
+parameter vectors are cached read-only arrays read once per run, the
+per-server time integrals are flat lists updated in place, and a
+special-arrival generator exists only for servers with
+``lambda''_i > 0`` (the spawn positions of the others are reserved, so
+every stream equals an eager spawn of all ``n``).  What remains O(n)
+happens once per run: building the servers, the warm-up reset and the
+final reduction of the integrals.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from .events import EventQueue, EventType
 from .requirements import ExponentialRequirement, RequirementDistribution
 from .rng import StreamFactory, exponential
 from .server import SimServer
-from .stats import BatchMeans, RunningStats, TimeWeightedStats
+from .stats import BatchMeans, RunningStats
 from .task import SimTask, TaskClass
 
 __all__ = ["SimulationConfig", "SimulationResult", "GroupSimulation", "simulate_group"]
@@ -49,7 +58,7 @@ class SimulationConfig:
     discipline:
         Queueing discipline for special tasks.
     horizon:
-        Simulated time at which the run stops.
+        Simulated time at which the run stops (finite).
     warmup:
         Initial transient discarded from all statistics (must be
         strictly less than ``horizon``).
@@ -69,6 +78,9 @@ class SimulationConfig:
             raise ParameterError(
                 f"total_generic_rate must be > 0, got {self.total_generic_rate!r}"
             )
+        if not math.isfinite(self.horizon):
+            # END_OF_RUN would never fire: the run would not return.
+            raise ParameterError(f"horizon must be finite, got {self.horizon!r}")
         if not (0.0 <= self.warmup < self.horizon):
             raise ParameterError(
                 f"need 0 <= warmup < horizon, got warmup={self.warmup}, "
@@ -212,7 +224,14 @@ class GroupSimulation:
         self._streams = StreamFactory(config.seed)
         self._arrival_rng = self._streams.stream("generic-arrivals")
         self._requirement_rng = self._streams.stream("requirements")
-        self._special_rngs = self._streams.spawn(group.n)
+        # One spawn position per server, as if every server had a stream,
+        # but a generator only where lambda''_i > 0: the streams (and the
+        # named ones spawned after them) match an eager spawn of all n.
+        special_child = self._streams.reserve(group.n)
+        self._special_rngs: dict[int, np.random.Generator] = {
+            int(i): special_child(int(i))
+            for i in np.flatnonzero(group.special_rates > 0.0)
+        }
         if dispatcher is None:
             dispatcher = ProbabilisticDispatcher(
                 config.fractions, self._streams.stream("routing")
@@ -252,8 +271,9 @@ class GroupSimulation:
         self._now = 0.0
         for t, action in controls:
             self.schedule_control(t, action)
+        discipline = Discipline.coerce(config.discipline)
         self._servers = [
-            SimServer(i, srv.size, srv.speed, Discipline.coerce(config.discipline))
+            SimServer(i, srv.size, srv.speed, discipline)
             for i, srv in enumerate(group.servers)
         ]
         self._task_counter = 0
@@ -324,30 +344,38 @@ class GroupSimulation:
         """JSON-safe snapshot of every engine random stream.
 
         Covers the stream factory (named streams plus spawn position)
-        and the anonymous per-server special-arrival generators.
-        Restoring via :meth:`restore_rng_state` makes subsequent
-        arrival/service draws bit-identical to the captured run.
+        and the per-server special-arrival generators: ``"special"``
+        has one entry per server, ``None`` (JSON ``null``) for a server
+        with no special stream (``lambda''_i = 0``).  Restoring via
+        :meth:`restore_rng_state` makes subsequent arrival/service
+        draws bit-identical to the captured run.
         """
         from .rng import generator_state
 
-        return {
-            "streams": self._streams.state_dict(),
-            "special": [generator_state(g) for g in self._special_rngs],
-        }
+        special = [None] * self.group.n
+        for i, gen in self._special_rngs.items():
+            special[i] = generator_state(gen)
+        return {"streams": self._streams.state_dict(), "special": special}
 
     def restore_rng_state(self, state: dict) -> None:
-        """Restore a :meth:`capture_rng_state` snapshot in place."""
+        """Restore a :meth:`capture_rng_state` snapshot in place.
+
+        Raises :class:`ParameterError` unless the snapshot's special
+        entries cover exactly this engine's special streams.
+        """
         from .rng import set_generator_state
 
-        self._streams.load_state(state["streams"])
         special = state["special"]
-        if len(special) != len(self._special_rngs):
+        covered = {i for i, gen_state in enumerate(special) if gen_state is not None}
+        if len(special) != self.group.n or covered != self._special_rngs.keys():
             raise ParameterError(
-                f"snapshot covers {len(special)} special streams, "
-                f"engine has {len(self._special_rngs)}"
+                f"snapshot covers {len(covered)} special streams over "
+                f"{len(special)} servers, engine has "
+                f"{len(self._special_rngs)} over {self.group.n}"
             )
-        for gen, gen_state in zip(self._special_rngs, special):
-            set_generator_state(gen, gen_state)
+        self._streams.load_state(state["streams"])
+        for i, gen in self._special_rngs.items():
+            set_generator_state(gen, special[i])
 
     # -- task creation ------------------------------------------------------------
 
@@ -370,6 +398,11 @@ class GroupSimulation:
         """Execute the run and return post-warmup statistics."""
         cfg = self.config
         n = self.group.n
+        servers = self._servers
+        speeds = self.group.speeds
+        special_means = {
+            i: 1.0 / self.group.servers[i].special_rate for i in self._special_rngs
+        }
         events = EventQueue()
         self._events = events
         self._now = 0.0
@@ -380,8 +413,15 @@ class GroupSimulation:
         gen_wait = RunningStats()
         spec_resp = RunningStats()
         spec_wait = RunningStats()
-        busy_tw = [TimeWeightedStats() for _ in range(n)]
-        system_tw = [TimeWeightedStats() for _ in range(n)]
+        # Per-server time integrals of busy blades and tasks in system,
+        # flattened into lists (the arithmetic of TimeWeightedStats, one
+        # shared last-update time per server): O(1) per state change.
+        window_start = 0.0
+        last_t = [0.0] * n
+        busy_area = [0.0] * n
+        busy_last = [0.0] * n
+        system_area = [0.0] * n
+        system_last = [0.0] * n
         gen_done = 0
         spec_done = 0
         gen_shed = 0
@@ -401,23 +441,18 @@ class GroupSimulation:
         done_by_class = [0] * n_classes
         retry_depths: dict[int, int] = {}
 
-        for i in range(n):
-            busy_tw[i].reset(0.0, 0.0)
-            system_tw[i].reset(0.0, 0.0)
-
         # Prime the arrival streams.
         self._arrivals.reset()
         events.schedule(
             self._arrivals.next_interarrival(self._arrival_rng),
             EventType.GENERIC_ARRIVAL,
         )
-        for i, srv in enumerate(self.group.servers):
-            if srv.special_rate > 0.0:
-                events.schedule(
-                    exponential(self._special_rngs[i], 1.0 / srv.special_rate),
-                    EventType.SPECIAL_ARRIVAL,
-                    payload=i,
-                )
+        for i, rng in self._special_rngs.items():
+            events.schedule(
+                exponential(rng, special_means[i]),
+                EventType.SPECIAL_ARRIVAL,
+                payload=i,
+            )
         if cfg.warmup > 0.0:
             events.schedule(cfg.warmup, EventType.END_OF_WARMUP)
         events.schedule(cfg.horizon, EventType.END_OF_RUN)
@@ -426,11 +461,18 @@ class GroupSimulation:
                 events.schedule(t, EventType.CONTROL, payload=action)
 
         def record_state(i: int, now: float) -> None:
-            busy_tw[i].update(now, self._servers[i].busy)
-            system_tw[i].update(now, self._servers[i].in_system)
+            t0 = last_t[i]
+            if now < t0:
+                raise SimulationError(f"time went backwards: {now} < {t0}")
+            busy_area[i] += busy_last[i] * (now - t0)
+            system_area[i] += system_last[i] * (now - t0)
+            last_t[i] = now
+            srv = servers[i]
+            busy_last[i] = srv.busy
+            system_last[i] = srv.in_system
 
         def start_service(task: SimTask, now: float) -> None:
-            service = task.service_time(self.group.speeds[task.server_index])
+            service = task.service_time(speeds[task.server_index])
             events.schedule(now + service, EventType.DEPARTURE, payload=task)
 
         def maybe_retry(offer: "Offer", now: float) -> bool:
@@ -474,9 +516,12 @@ class GroupSimulation:
                     # Restart every integrator at the current state and drop
                     # all per-task statistics collected so far.
                     measuring = True
-                    for i in range(n):
-                        busy_tw[i].reset(now, self._servers[i].busy)
-                        system_tw[i].reset(now, self._servers[i].in_system)
+                    window_start = now
+                    last_t[:] = [now] * n
+                    busy_area[:] = [0.0] * n
+                    busy_last[:] = [srv.busy for srv in servers]
+                    system_area[:] = [0.0] * n
+                    system_last[:] = [srv.in_system for srv in servers]
                     continue
 
                 if ev.kind is EventType.CONTROL:
@@ -529,7 +574,7 @@ class GroupSimulation:
                             events.schedule(
                                 now + timeout, EventType.TIMEOUT_CHECK, payload=task
                             )
-                    started = self._servers[dest].on_arrival(task, now)
+                    started = servers[dest].on_arrival(task, now)
                     if started is not None:
                         start_service(started, now)
                     record_state(dest, now)
@@ -548,14 +593,13 @@ class GroupSimulation:
 
                 if ev.kind is EventType.SPECIAL_ARRIVAL:
                     i = ev.payload
-                    rate = self.group.servers[i].special_rate
                     events.schedule(
-                        now + exponential(self._special_rngs[i], 1.0 / rate),
+                        now + exponential(self._special_rngs[i], special_means[i]),
                         EventType.SPECIAL_ARRIVAL,
                         payload=i,
                     )
                     task = self._new_task(TaskClass.SPECIAL, i, now)
-                    started = self._servers[i].on_arrival(task, now)
+                    started = servers[i].on_arrival(task, now)
                     if started is not None:
                         start_service(started, now)
                     record_state(i, now)
@@ -565,7 +609,7 @@ class GroupSimulation:
                     task = ev.payload
                     task.completion_time = now
                     i = task.server_index
-                    nxt = self._servers[i].on_departure(now)
+                    nxt = servers[i].on_departure(now)
                     if nxt is not None:
                         start_service(nxt, now)
                     record_state(i, now)
@@ -628,10 +672,19 @@ class GroupSimulation:
                 ).set(self._now / wall)
 
         end = cfg.horizon
-        utilizations = np.array(
-            [busy_tw[i].mean(end) / self.group.servers[i].size for i in range(n)]
-        )
-        mean_in_system = np.array([system_tw[i].mean(end) for i in range(n)])
+        last = np.array(last_t)
+        if (last > end).any():
+            raise ParameterError(
+                f"end_time {end} precedes last update {last.max()}"
+            )
+        window = end - window_start
+        if window <= 0.0:
+            raise SimulationError("zero-length observation window")
+        held = end - last
+        utilizations = (
+            (np.array(busy_area) + np.array(busy_last) * held) / window
+        ) / self.group.sizes
+        mean_in_system = (np.array(system_area) + np.array(system_last) * held) / window
         if gen_done == 0:
             raise SimulationError(
                 "no generic task completed inside the measurement window; "

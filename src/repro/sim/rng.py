@@ -12,6 +12,8 @@ which guarantees statistical independence between children.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..core.exceptions import ParameterError
@@ -90,11 +92,42 @@ class StreamFactory:
 
     def spawn(self, k: int) -> list[np.random.Generator]:
         """Return ``k`` fresh independent generators at once."""
+        child = self.reserve(k)
+        return [child(i) for i in range(k)]
+
+    def reserve(self, k: int) -> Callable[[int], np.random.Generator]:
+        """Claim the next ``k`` spawn positions in O(1), without building them.
+
+        Returns ``child(i)``, which builds the generator that
+        :meth:`spawn` would have returned at position ``i`` — the same
+        ``SeedSequence`` spawn key, so the same stream — on demand.
+        Streams spawned afterwards start past the reserved block whether
+        or not any child is ever built.
+        """
         if k < 0:
             raise ParameterError(f"k must be >= 0, got {k}")
-        children = self._seed_seq.spawn(k)
+        seq = self._seed_seq
+        base = seq.n_children_spawned
+        self._seed_seq = np.random.SeedSequence(
+            seq.entropy,
+            spawn_key=seq.spawn_key,
+            pool_size=seq.pool_size,
+            n_children_spawned=base + k,
+        )
         self._count += k
-        return [np.random.default_rng(c) for c in children]
+
+        def child(i: int) -> np.random.Generator:
+            if not 0 <= i < k:
+                raise ParameterError(f"child index must be in [0, {k}), got {i}")
+            return np.random.default_rng(
+                np.random.SeedSequence(
+                    seq.entropy,
+                    spawn_key=seq.spawn_key + (base + i,),
+                    pool_size=seq.pool_size,
+                )
+            )
+
+        return child
 
     def state_dict(self) -> dict:
         """JSON-safe snapshot: spawn position plus every named stream.

@@ -121,7 +121,7 @@ def solve(
         sequence.
     **solver_kwargs:
         Backend extras, e.g. ``tol=1e-12`` or ``phi_hint=...`` for the
-        bisection family.
+        warm-startable backends (``bisection``, ``newton``).
 
     Returns
     -------
@@ -157,12 +157,14 @@ def solve_sweep(
 ) -> list[SolveResult]:
     """Run :func:`solve` at every ``lambda'`` of a sweep grid, in order.
 
-    For warm-startable backends (the bisection family), each point
+    For warm-startable backends (``bisection`` and ``newton``; see
+    :func:`~repro.core.solvers.warm_startable_methods`), each point
     after the first passes the previous point's converged ``phi`` as
-    ``phi_hint``, so the solver brackets the new multiplier around the
-    old one instead of re-doubling from the cold-start seed.  Results
-    are identical to cold starts up to the solver tolerance; only the
-    bracketing work changes.
+    ``phi_hint``, so the solver starts from the old multiplier instead
+    of the cold-start seed.  The hint is passed unscaled although
+    ``phi`` scales as ``1/lambda'`` (rescaling it is ROADMAP open
+    item 2).  Results are identical to cold starts up to the solver
+    tolerance; only the bracketing work changes.
 
     Parameters
     ----------

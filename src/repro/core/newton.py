@@ -39,16 +39,29 @@ Outer problem (the dual multiplier)
         F'(\\phi) = \\sum_{i \\in \\text{free}} \\frac{1}{g_i'(\\lambda'_i(\\phi))}
 
     (parked and capacity-pinned servers contribute zero).  The step is
-    safeguarded by the running ``(phi_lo, phi_hi)`` bracket; warm
-    starts (``phi_hint`` from a neighbouring sweep point or the
-    previous controller tick) typically land inside the quadratic basin
-    and converge in a handful of outer iterations.
+    safeguarded by the running ``(phi_lo, phi_hi)`` bracket.  A warm
+    start (``phi_hint``) seeds the loop directly; since the marginals
+    are divided by ``lambda'``, a multiplier solved at another rate is
+    close only after rescaling by the rate ratio (the sharded
+    coordinator does this; see ``docs/SOLVERS.md`` §3).
+
+The batched kernel (:func:`marginal_cost_and_slope_vec`) is one pass
+per block of :data:`_BLOCK` servers: a single recurrence loop advances
+``p_0``'s partial sum and the heads of ``S'`` and ``S''`` together
+(they all grow by ratios ``a/k`` with ``a = m rho``), ``dp_0/drho`` and
+the powers of ``rho`` are computed once, and the per-size constants
+``log m``, ``ln m!``, ``m^{m-1}/m!`` and ``m^m/m!`` come from a table.
+Blocking caps the temporaries; since every output element depends only
+on its own server and is computed in a fixed operation order, neither
+the blocks nor the masks change a bit of the result.
 
 Both safeguards make the method exactly as robust as the bisection
 backends — including the degenerate flat-marginal case, where ``F``
 jumps across the root inside a multiplier window narrower than float
 resolution and the endpoint rate vectors are interpolated
-component-wise (the same repair the KKT backend applies).
+component-wise (the same repair the KKT backend applies).  A hint that
+lands on such a band already, where the Newton step on ``phi`` rounds
+to zero, takes that step in rate space on its first iteration.
 
 Registered as ``method="newton"`` (warm-startable); the measured
 speedups over the other backends are committed in
@@ -115,105 +128,167 @@ def p_zero_vec(ms: Sequence[int], rhos: Sequence[float]) -> np.ndarray:
     precision for thousands of blades per server.
     """
     ms, rhos = _as_server_arrays(ms, rhos)
-    a = ms * rhos
-    term = np.ones_like(rhos)
-    total = np.ones_like(rhos)
-    log_scale = np.zeros_like(rhos)
+    p0, _, _ = _recurrences(ms, ms.astype(float), rhos, heads=False)
+    return p0
+
+
+def _recurrences(
+    ms: np.ndarray, mf: np.ndarray, rho: np.ndarray, heads: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """``p_0`` and, with ``heads``, the head sums of ``S'`` and ``S''``.
+
+    With ``a = m rho`` all three are partial sums of terms that advance
+    by ``a/j``: ``p_0``'s ``t_k = t_{k-1} a/k`` (``k = 1..m-1``), the
+    ``S'`` head's ``u_k = u_{k-1} a/(k-1)`` (``u_1 = m``) and the
+    ``S''`` head's ``v_k = v_{k-1} a/(k-2)`` (``v_2 = m^2``), the last
+    two both for ``k`` up to ``m - 1``.  So one loop over ``k`` with
+    one stop mask ``m > k`` advances all three, reusing the ratios of
+    the two previous steps.  Only ``p_0``'s sum is rescaled (as in
+    :func:`repro.core.erlang.p_zero`); the derivative heads follow
+    :func:`repro.core.erlang.dp_zero_drho` and
+    :func:`repro.core.erlang.d2p_zero_drho2`, which do not rescale.
+    """
+    a = ms * rho
+    term = np.ones_like(rho)
+    total = np.ones_like(rho)
+    log_scale = np.zeros_like(rho)
+    s1 = s2 = u = v = q1 = q2 = None
+    if heads:
+        s1 = np.where(ms >= 2, mf, 0.0)
+        u = mf.copy()
+        v = mf * mf
+        s2 = np.where(ms >= 3, v, 0.0)
     for k in range(1, int(ms.max())):
         growing = ms > k
-        np.multiply(term, a / k, out=term, where=growing)
-        total[growing] += term[growing]
-        big = total > _RESCALE_AT
-        if big.any():
+        q = a / k
+        np.multiply(term, q, out=term, where=growing)
+        np.add(total, term, out=total, where=growing)
+        if total.max() > _RESCALE_AT:
+            big = total > _RESCALE_AT
             scale = total[big]
             term[big] /= scale
             total[big] = 1.0
             log_scale[big] += np.log(scale)
+        if heads:
+            if k >= 2:
+                np.multiply(u, q1, out=u, where=growing)
+                np.add(s1, u, out=s1, where=growing)
+            if k >= 3:
+                np.multiply(v, q2, out=v, where=growing)
+                np.add(s2, v, out=s2, where=growing)
+            q1, q2 = q, q1
     # Tail term a^m/m! / (1 - rho): one more recurrence step from
     # a^{m-1}/(m-1)! covers every m >= 1.
-    term_m = term * a / ms
-    total = total + term_m / (1.0 - rhos)
-    return np.exp(-log_scale) / total
+    term_m = term * a / mf
+    total = total + term_m / (1.0 - rho)
+    return np.exp(-log_scale) / total, s1, s2
 
 
-def _waiting_factor_from_p0(
-    ms: np.ndarray, rhos: np.ndarray, p0: np.ndarray
-) -> np.ndarray:
-    """``p_0 m^{m-1}/m! rho^m/(1-rho)^2`` given precomputed ``p_0``."""
-    out = np.zeros_like(rhos)
-    pos = rhos > 0.0
-    if pos.any():
-        m = ms[pos].astype(float)
-        r = rhos[pos]
-        log_shape = (m - 1.0) * np.log(m) - gammaln(m + 1.0) + m * np.log(r)
-        out[pos] = p0[pos] * np.exp(log_shape) / (1.0 - r) ** 2
-    return out
+#: Per-size constants indexed by ``m`` (entry 0 unused):
+#: ``(m-1) log m - ln m!``, ``m log m - ln m!`` and their exponentials
+#: ``m^{m-1}/m!`` and ``m^m/m!``.  Rebuilt when a larger size shows up.
+_size_table: tuple[np.ndarray, ...] = ()
 
 
-def _dp_zero_drho_vec(
-    ms: np.ndarray, rhos: np.ndarray, p0: np.ndarray
-) -> np.ndarray:
-    """Batched :func:`repro.core.erlang.dp_zero_drho` (given ``p_0``).
-
-    Mirrors the scalar scaled term recurrence
-    ``u_{k+1} = u_k a / k`` for the head sum and the log-space tail.
-    """
-    a = ms * rhos
-    mf = ms.astype(float)
-    # Head sum: sum_{k=1}^{m-1} m^k rho^{k-1}/(k-1)!; k = 1 term is m
-    # (only present for m >= 2).
-    s = np.where(ms >= 2, mf, 0.0)
-    u = mf.copy()
-    for k in range(2, int(ms.max())):
-        growing = ms > k
-        np.multiply(u, a / (k - 1), out=u, where=growing)
-        s[growing] += u[growing]
-    # Tail: m^m/m! * rho^{m-1} (m - (m-1) rho) / (1-rho)^2, in log space.
-    tail = np.zeros_like(rhos)
-    pos = rhos > 0.0
-    if pos.any():
-        m = mf[pos]
-        r = rhos[pos]
-        log_tail = m * np.log(m) - gammaln(m + 1.0) + (m - 1.0) * np.log(r)
-        tail[pos] = np.exp(log_tail) * (m - (m - 1.0) * r) / (1.0 - r) ** 2
-    zero = ~pos
-    if zero.any():
-        tail[zero] = np.where(ms[zero] == 1, 1.0, 0.0)
-    # m = 1 closed form: p0 = 1 - rho has no head sum and tail 1/(1-rho)^2.
-    m1 = ms == 1
-    if m1.any():
-        s[m1] = 0.0
-        tail[m1] = 1.0 / (1.0 - rhos[m1]) ** 2
-    return -p0 * p0 * (s + tail)
+def _size_constants(m_max: int) -> tuple[np.ndarray, ...]:
+    """The per-size constant tables, covering sizes up to ``m_max``."""
+    global _size_table
+    table = _size_table
+    if not table or table[0].size <= m_max:
+        m = np.arange(1, m_max + 1, dtype=float)
+        log_m = np.log(m)
+        lg = gammaln(m + 1.0)
+        l1 = (m - 1.0) * log_m - lg
+        l2 = m * log_m - lg
+        table = tuple(
+            np.concatenate(([0.0], col)) for col in (l1, l2, np.exp(l1), np.exp(l2))
+        )
+        _size_table = table
+    return table
 
 
-def _d_response_drho_vec(
+#: Stand-in utilization for idle servers inside the kernel: their
+#: outputs are closed forms patched in afterwards, and a small positive
+#: value keeps the general formulas (``log rho``, ``rho^{m-2}``) finite.
+_IDLE_RHO = 1e-3
+
+
+def _response_derivatives(
     ms: np.ndarray,
+    mf: np.ndarray,
     xbars: np.ndarray,
-    rhos: np.ndarray,
-    rho_specials: np.ndarray,
+    rho: np.ndarray,
+    rho_s: np.ndarray,
     disc: Discipline,
-    p0: np.ndarray,
-) -> np.ndarray:
-    """Batched :func:`repro.core.response.d_generic_response_time_drho`."""
-    out = np.zeros_like(rhos)
-    pos = rhos > 0.0
-    if pos.any():
-        mi = ms[pos]
-        m = mi.astype(float)
-        r = rhos[pos]
-        c = np.exp((m - 1.0) * np.log(m) - gammaln(m + 1.0))
-        dp0 = _dp_zero_drho_vec(mi, r, p0[pos])
-        term1 = dp0 * r**mi / (1.0 - r) ** 2
-        term2 = p0[pos] * r ** (mi - 1) * (m - (m - 2.0) * r) / (1.0 - r) ** 3
-        out[pos] = xbars[pos] * c * (term1 + term2)
-        if disc is Discipline.PRIORITY:
-            out[pos] /= 1.0 - rho_specials[pos]
-    zero = ~pos
-    if zero.any():
-        # rho = 0 limit: slope xbar for m = 1, zero otherwise.
-        out[zero] = np.where(ms[zero] == 1, xbars[zero], 0.0)
-    return out
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The waiting factor ``W`` and ``dT'/drho``, ``d2T'/drho2`` per server.
+
+    Batched :func:`repro.core.response.waiting_factor` (divided by
+    ``1 - rho''`` under priority),
+    :func:`~repro.core.response.d_generic_response_time_drho` and
+    :func:`~repro.core.response.d2_generic_response_time_drho2`, from
+    one :func:`_recurrences` pass.  ``dp_0/drho`` is computed once for
+    both derivatives, each power ``rho^m``, ``rho^{m-1}``,
+    ``rho^{m-2}`` once, and the per-size constants come from
+    :func:`_size_constants`.  Idle servers (``rho = 0``) and
+    single-blade servers take their closed forms.
+    """
+    # Idle limits: dT'/drho is xbar at m = 1; d2T'/drho2 is 2 xbar at
+    # m <= 2 (h''(0) = 2 with m^{m-1}/m! = 1); both vanish otherwise.
+    # An idle server has rho'' = 0 too, so the priority factor is 1.
+    pos = rho > 0.0
+    idle_dt = np.where(ms == 1, xbars, 0.0)
+    idle_d2t = np.where(ms <= 2, 2.0 * xbars, 0.0)
+    if not pos.any():
+        return np.zeros_like(rho), idle_dt, idle_d2t
+    r = np.where(pos, rho, _IDLE_RHO)
+    p0, s1, s2 = _recurrences(ms, mf, r, heads=True)
+    l1, l2, c1, c2 = (col[ms] for col in _size_constants(int(ms.max())))
+    one = 1.0 - r
+    one2 = one**2
+    one3 = one**3
+    log_r = np.log(r)
+    pm = r**mf
+    pm1 = r ** (mf - 1.0)
+    pm2 = r ** np.maximum(mf - 2.0, 0.0)
+    lead1 = mf - (mf - 1.0) * r
+    lead2 = mf - (mf - 2.0) * r
+
+    w = p0 * np.exp(l1 + mf * log_r) / one2
+    # dp_0/drho = -p_0^2 S'; at m = 1 the head is empty and the tail
+    # is exactly 1/(1 - rho)^2.
+    tail1 = np.exp(l2 + (mf - 1.0) * log_r) * lead1 / one2
+    dp0 = -p0 * p0 * (s1 + tail1)
+    dt = xbars * c1 * (dp0 * pm / one2 + p0 * pm1 * lead2 / one3)
+    # d2p_0/drho2 = p_0^2 (2 p_0 S'^2 - S''), the S' tail re-derived
+    # from m^m/m! as in the scalar code.
+    sp = s1 + c2 * pm1 * lead1 / one2
+    spp = s2 + c2 * (mf * (mf - 1.0) * pm2 / one + 2.0 * pm1 * lead1 / one3)
+    d2p0 = p0 * p0 * (2.0 * p0 * sp * sp - spp)
+    d2h = (
+        pm2 * ((mf - 1.0) * lead2 - (mf - 2.0) * r) / one3
+        + 3.0 * pm1 * lead2 / one**4
+    )
+    h = pm / one2
+    dh = pm1 * lead2 / one3
+    d2t = xbars * c1 * (d2p0 * h + 2.0 * dp0 * dh + p0 * d2h)
+    d2t = np.where(ms == 1, 2.0 * xbars / one3, d2t)
+    if disc is Discipline.PRIORITY:
+        one_s = 1.0 - rho_s
+        w = w / one_s
+        dt = dt / one_s
+        d2t = d2t / one_s
+    return (
+        np.where(pos, w, 0.0),
+        np.where(pos, dt, idle_dt),
+        np.where(pos, d2t, idle_d2t),
+    )
+
+
+#: Servers per kernel block.  Each output element depends only on its
+#: own server, so evaluating in blocks caps the kernel's ~45
+#: block-length temporaries without changing a bit of the result.
+_BLOCK = 8192
 
 
 #: Inner Newton sweeps per outer iteration before declaring failure.
@@ -224,97 +299,10 @@ _MAX_INNER_SWEEPS = 120
 #: Outer multiplier iterations before declaring failure.
 _MAX_OUTER = 200
 
-
-def _d2p_zero_drho2_vec(
-    ms: np.ndarray, rhos: np.ndarray, p0: np.ndarray
-) -> np.ndarray:
-    """Batched :func:`repro.core.erlang.d2p_zero_drho2` (given ``p_0``).
-
-    Mirrors the scalar code: the head sums of ``S'`` and ``S''`` run as
-    shared-axis term recurrences with per-server stop masks, the tails
-    are evaluated in log space, and ``m = 1`` (where ``p_0`` is linear
-    in ``rho``) is exactly zero.
-    """
-    mf = ms.astype(float)
-    a = mf * rhos
-    # S' head: sum_{k=1}^{m-1} m^k rho^{k-1}/(k-1)!  (k = 1 term is m).
-    s1 = np.where(ms >= 2, mf, 0.0)
-    u = mf.copy()
-    for k in range(2, int(ms.max())):
-        growing = ms > k
-        np.multiply(u, a / (k - 1), out=u, where=growing)
-        s1[growing] += u[growing]
-    # S'' head: sum_{k=2}^{m-1} m^k rho^{k-2}/(k-2)!  (k = 2 term m^2).
-    s2 = np.where(ms >= 3, mf * mf, 0.0)
-    v = mf * mf
-    for k in range(3, int(ms.max())):
-        growing = ms > k
-        np.multiply(v, a / (k - 2), out=v, where=growing)
-        s2[growing] += v[growing]
-    tail1 = np.zeros_like(rhos)
-    tail2 = np.zeros_like(rhos)
-    sel = (rhos > 0.0) & (ms >= 2)
-    if sel.any():
-        m = mf[sel]
-        r = rhos[sel]
-        c = np.exp(m * np.log(m) - gammaln(m + 1.0))
-        lead = m - (m - 1.0) * r
-        tail1[sel] = c * r ** (ms[sel] - 1) * lead / (1.0 - r) ** 2
-        tail2[sel] = c * (
-            m * (m - 1.0) * r ** (ms[sel] - 2) / (1.0 - r)
-            + 2.0 * r ** (ms[sel] - 1) * lead / (1.0 - r) ** 3
-        )
-    at_zero = (rhos == 0.0) & (ms == 2)
-    if at_zero.any():
-        # rho -> 0 limit of the S'' tail: c * m (m-1), nonzero only at
-        # m = 2 (every other term carries a positive power of rho).
-        m = mf[at_zero]
-        tail2[at_zero] = np.exp(m * np.log(m) - gammaln(m + 1.0)) * m * (m - 1.0)
-    sp = s1 + tail1
-    spp = s2 + tail2
-    out = p0 * p0 * (2.0 * p0 * sp * sp - spp)
-    out[ms == 1] = 0.0
-    return out
-
-
-def _d2_response_drho2_vec(
-    ms: np.ndarray,
-    xbars: np.ndarray,
-    rhos: np.ndarray,
-    rho_specials: np.ndarray,
-    disc: Discipline,
-    p0: np.ndarray,
-) -> np.ndarray:
-    """Batched :func:`repro.core.response.d2_generic_response_time_drho2`."""
-    out = np.zeros_like(rhos)
-    m1 = ms == 1
-    if m1.any():
-        out[m1] = 2.0 * xbars[m1] / (1.0 - rhos[m1]) ** 3
-    sel = ~m1 & (rhos > 0.0)
-    if sel.any():
-        mi = ms[sel]
-        m = mi.astype(float)
-        r = rhos[sel]
-        c = np.exp((m - 1.0) * np.log(m) - gammaln(m + 1.0))
-        p0s = p0[sel]
-        dp0 = _dp_zero_drho_vec(mi, r, p0s)
-        d2p0 = _d2p_zero_drho2_vec(mi, r, p0s)
-        one = 1.0 - r
-        lead = m - (m - 2.0) * r
-        h = r**mi / one**2
-        dh = r ** (mi - 1) * lead / one**3
-        d2h = (
-            r ** (mi - 2) * ((m - 1.0) * lead - (m - 2.0) * r) / one**3
-            + 3.0 * r ** (mi - 1) * lead / one**4
-        )
-        out[sel] = xbars[sel] * c * (d2p0 * h + 2.0 * dp0 * dh + p0s * d2h)
-    at_zero = ~m1 & (rhos == 0.0) & (ms == 2)
-    if at_zero.any():
-        # h''(0) = 2 at m = 2 with C = 2^1/2! = 1; zero for m >= 3.
-        out[at_zero] = 2.0 * xbars[at_zero]
-    if disc is Discipline.PRIORITY:
-        out /= 1.0 - rho_specials
-    return out
+#: Relative evaluation noise of a marginal: a rate with ``|g_i - phi|
+#: <= _ROOT_NOISE * phi`` is a root of ``g_i = phi`` (a couple of ulps;
+#: bisection cannot refine past the kernel's roundoff).
+_ROOT_NOISE = 8.9e-16
 
 
 def marginal_cost_and_slope_vec(
@@ -327,8 +315,8 @@ def marginal_cost_and_slope_vec(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched marginal costs ``g_i`` and their slopes ``g_i'``.
 
-    One shared :func:`p_zero_vec` evaluation feeds the response time,
-    both response-time derivatives, and hence both outputs:
+    One :func:`_response_derivatives` pass per block of
+    :data:`_BLOCK` servers feeds both outputs:
 
     * ``g_i = (T'_i + rho'_i dT'_i/drho) / lambda'`` — the batched
       :func:`repro.core.objective.marginal_cost`;
@@ -337,17 +325,32 @@ def marginal_cost_and_slope_vec(
       is increasing and convex in ``rho``), which is what makes both
       Newton levels well-posed.
     """
+    n = ms.shape[0]
+    g = np.empty(n)
+    dg = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        hi = lo + _BLOCK
+        g[lo:hi], dg[lo:hi] = _marginal_block(
+            ms[lo:hi], xbars[lo:hi], specials[lo:hi], lams[lo:hi], total_rate, disc
+        )
+    return g, dg
+
+
+def _marginal_block(
+    ms: np.ndarray,
+    xbars: np.ndarray,
+    specials: np.ndarray,
+    lams: np.ndarray,
+    total_rate: float,
+    disc: Discipline,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`marginal_cost_and_slope_vec` on one block of servers."""
     mf = ms.astype(float)
     rho = (lams + specials) * xbars / mf
     rho_g = lams * xbars / mf
     rho_s = specials * xbars / mf
-    p0 = p_zero_vec(ms, rho)
-    w = _waiting_factor_from_p0(ms, rho, p0)
-    if disc is Discipline.PRIORITY:
-        w = w / (1.0 - rho_s)
+    w, dt, d2t = _response_derivatives(ms, mf, xbars, rho, rho_s, disc)
     t = xbars * (1.0 + w)
-    dt = _d_response_drho_vec(ms, xbars, rho, rho_s, disc, p0)
-    d2t = _d2_response_drho2_vec(ms, xbars, rho, rho_s, disc, p0)
     g = (t + rho_g * dt) / total_rate
     dg = (xbars / mf) * (2.0 * dt + rho_g * d2t) / total_rate
     return g, dg
@@ -385,7 +388,7 @@ def _inner_newton(
     # would otherwise misread as a failed step and bisect *away* from
     # the root.  Each sweep then re-evaluates only the live subset, so
     # the batched kernel shrinks as servers converge.
-    noise = 8.9e-16 * abs(phi)
+    noise = _ROOT_NOISE * abs(phi)
     done = (ub - lb) <= tol
     sweeps = 0
     for _ in range(_MAX_INNER_SWEEPS):
@@ -471,8 +474,8 @@ def dual_ascent(
 
     def rates_at(
         phi: float, lo: np.ndarray, hi: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """``(rates, F'(phi))`` at multiplier ``phi``.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rates, d rates / d phi)`` at multiplier ``phi``.
 
         ``lo``/``hi`` are component-wise root bounds carried over from
         rate vectors already computed at smaller/larger multipliers
@@ -481,7 +484,7 @@ def dual_ascent(
         nonlocal inner_sweeps, prev_rates
         active = (caps > 0.0) & (g0 < phi)
         if not active.any():
-            return zeros.copy(), 0.0
+            return zeros.copy(), zeros
         pinned = active & (gcap < phi)
         free = active & ~pinned
         rates = np.where(pinned, hard_caps, 0.0)
@@ -500,11 +503,11 @@ def dual_ascent(
                 sweep_hist.observe(max(sweeps, 1))
             rates = np.where(free, roots, rates)
             with np.errstate(divide="ignore"):
-                fprime = float(np.where(free, 1.0 / dg, 0.0).sum())
+                slopes = np.where(free, 1.0 / dg, 0.0)
         else:
-            fprime = 0.0
+            slopes = zeros
         prev_rates = rates
-        return rates, fprime
+        return rates, slopes
 
     # The zero-load and capacity marginals bound the multiplier a
     # priori: F(phi) = 0 for phi <= min g0 (everything parked) and
@@ -529,11 +532,12 @@ def dual_ascent(
     # a ceiling start degenerates into bisection across ~12 decades.
     # Stale hints therefore re-anchor to the cold seed — one batched
     # kernel evaluation, mid-band by construction.
-    if (
+    hinted = (
         phi_hint is not None
         and math.isfinite(phi_hint)
         and phi_seed <= phi_hint <= phi_ceil
-    ):
+    )
+    if hinted:
         phi = float(phi_hint)
     else:
         g_start, _ = marginal_cost_and_slope_vec(
@@ -557,12 +561,13 @@ def dual_ascent(
                 "solve.outer", iter=iterations, phi=phi, phi_lo=phi_lo, phi_hi=phi_hi
             ) as sp:
                 before = inner_sweeps
-                rates, fprime = rates_at(phi, r_lo, r_hi)
+                rates, slopes = rates_at(phi, r_lo, r_hi)
                 sp.note(
                     inner_sweeps=inner_sweeps - before, sum_rates=float(rates.sum())
                 )
         else:
-            rates, fprime = rates_at(phi, r_lo, r_hi)
+            rates, slopes = rates_at(phi, r_lo, r_hi)
+        fprime = float(slopes.sum())
         resid = float(rates.sum()) - total_rate
         if abs(resid) <= budget_tol:
             converged = True
@@ -585,6 +590,24 @@ def dual_ascent(
         if fprime > 0.0 and math.isfinite(fprime):
             step = resid / fprime
             cand = phi - step
+            if cand == phi and hinted and iterations == 1:
+                # A hint within phi's float resolution of the answer,
+                # where some free servers' marginals are flat to float
+                # precision: their inner roots stay at the cold split
+                # and F(phi) misses the budget, but the Newton step on
+                # phi rounds to zero.  In rate space the same step is
+                # finite; keep it if the servers it moves are still
+                # roots of g_i = phi, else bisect as usual.
+                moved = rates - resid * (slopes / fprime)
+                big = np.abs(moved - rates) > tol
+                if big.any() and np.all((moved >= 0.0) & (moved <= hard_caps)):
+                    g_moved, _ = marginal_cost_and_slope_vec(
+                        ms[big], xbars[big], specials[big], moved[big], total_rate, disc
+                    )
+                    if np.all(np.abs(g_moved - phi) <= _ROOT_NOISE * phi):
+                        rates = moved
+                        converged = True
+                        break
         else:
             cand = math.inf
         if not (math.isfinite(cand) and phi_lo < cand < phi_hi):

@@ -258,11 +258,15 @@ class ResolveController:
     def prime_phi_hint(self, phi: float) -> None:
         """Seed the warm-start anchor from outside the resolve path.
 
-        The sharded coordinator solves the *global* multiplier and
-        pushes it down so each shard controller's next drift-triggered
-        re-solve starts in the quadratic basin instead of cold.  The
-        anchor is bound to the current health fingerprint exactly like
-        a locally earned one, so a topology change invalidates it.
+        The sharded coordinator pushes its *global* multiplier down
+        here.  That does not start a shard's next re-solve in the
+        quadratic basin: the multiplier scales as ``1/lambda'``, so at
+        a shard's fraction of the fleet rate it is too large (~8x for
+        8 even shards), falls outside the shard's multiplier band, and
+        the solve re-anchors to its cold start.  Rescaling it is open
+        (ROADMAP open item 2).  The anchor is bound to the current
+        health fingerprint exactly like a locally earned one, so a
+        topology change invalidates it.
         """
         if math.isfinite(phi) and phi > 0.0:
             self._phi_hint = float(phi)

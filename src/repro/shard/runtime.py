@@ -13,11 +13,17 @@ aggregated rate estimates and pushes the result down as
 * **shard shares** — the fraction of the arrival stream each shard
   dispatcher owns (Bernoulli splitting keeps every shard's substream
   Poisson, so each inner runtime still operates in the paper's model);
-* **warm starts** — the converged global multiplier primes every
+* **multiplier hints** — the converged global multiplier primes every
   shard controller's ``phi_hint``
-  (:meth:`~repro.runtime.controller.ResolveController.prime_phi_hint`),
-  so the next drift-triggered local re-solve starts in the quadratic
-  basin.
+  (:meth:`~repro.runtime.controller.ResolveController.prime_phi_hint`).
+  The multiplier scales as ``1/lambda'``, so at a shard's ~1/8 of the
+  fleet rate this hint is ~8x too large: it falls outside the shard's
+  multiplier band and the local solve re-anchors to its cold start
+  (ROADMAP open item 2).
+
+The coordinator's own re-solves do warm-start: each rebalance passes
+the previous global multiplier rescaled by ``lambda'_prev /
+lambda'_new``, the first one the bootstrap solve's.
 
 Between coordinator ticks the shards are fully autonomous: local drift
 re-solves, local failures, local shedding — no cross-shard traffic at
@@ -161,6 +167,10 @@ class ShardedDispatcher:
     plan, runtimes, shares, rng:
         Topology, one runtime per shard, initial arrival fractions, and
         the Bernoulli-split generator.
+    psi:
+        ``phi * lambda'`` of the solve that produced ``shares`` (the
+        bootstrap); the first rebalance starts from it, rescaled to its
+        own rate.
     solver_tol:
         Optional tolerance forwarded to the coordinator solve.
     solve_fn:
@@ -178,6 +188,7 @@ class ShardedDispatcher:
         runtimes: Sequence[LoadDistributionRuntime],
         shares: np.ndarray,
         rng: np.random.Generator,
+        psi: float,
         solver_tol: float | None = None,
         solve_fn=None,
     ) -> None:
@@ -199,9 +210,8 @@ class ShardedDispatcher:
         self._tol = solver_tol
         self._solve = solve_fn if solve_fn is not None else _default_coordinator_solve
         self._pending = 0
-        #: The last rebalance's multiplier; ``None`` keeps the first
-        #: rebalance cold.
-        self._phi: float | None = None
+        #: The last solve's multiplier times the rate it was solved at.
+        self._psi = float(psi)
         self.rebalances = 0
         #: Per-shard liveness: ``False`` while a shard is killed,
         #: stalled, or awaiting splice-back.
@@ -280,10 +290,11 @@ class ShardedDispatcher:
         """One coordinator tick: global re-solve, push shares and hints.
 
         Runs the sharded solve on the full group at the shards'
-        aggregated rate estimate (warm-started from the previous tick's
-        multiplier), adopts the resulting shard load shares for arrival
-        splitting, and primes every live shard controller's ``phi_hint``
-        with the converged global multiplier.
+        aggregated rate estimate (warm-started from the previous solve's
+        multiplier, rescaled to the new rate), adopts the resulting
+        shard load shares for arrival splitting, and primes every live
+        shard controller's ``phi_hint`` with the converged global
+        multiplier.
 
         ``live`` masks the solve to the surviving shards (the
         supervisor's failover view): dead shards contribute no
@@ -301,16 +312,22 @@ class ShardedDispatcher:
         kwargs = {} if self._tol is None else {"tol": self._tol}
         if live_mask is not None:
             kwargs["live"] = live_mask
+        # The marginals carry a factor 1/lambda' (g_i = (T'_i + rho'_i
+        # dT'_i/drho) / lambda'), so psi = phi * lambda' is what stays
+        # put across a rate change.  An out-of-band hint falls back to
+        # the cold seed; a zero rate (every shard dead) goes to the
+        # solve unhinted, which rejects it.
+        hint = self._psi / lam if lam > 0.0 else None
         result = self._solve(
             group,
             lam,
             self.runtimes[0].config.discipline,
             method="sharded",
-            phi_hint=self._phi,
+            phi_hint=hint,
             plan=self.plan,
             **kwargs,
         )
-        self._phi = result.phi
+        self._psi = result.phi * lam
         loads = np.asarray(result.metadata["shard_loads"], dtype=float)
         self.set_shares(loads)
         for shard_index, runtime in enumerate(self.runtimes):
@@ -318,7 +335,7 @@ class ShardedDispatcher:
                 continue
             if live_mask is not None and not live_mask[shard_index]:
                 continue
-            runtime.controller.prime_phi_hint(self._phi)
+            runtime.controller.prime_phi_hint(result.phi)
         self.rebalances += 1
         o = get_obs()
         if o.enabled:
@@ -643,6 +660,7 @@ def run_sharded_closed_loop(
         np.random.default_rng(
             np.random.SeedSequence([0x5AD, config.seed]).generate_state(1)[0]
         ),
+        bootstrap.phi * trace.initial_rate,
         solver_tol=config.solver_tol,
         solve_fn=solve_fn,
     )

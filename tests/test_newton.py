@@ -19,8 +19,8 @@ from repro.core.erlang import log_p_zero, p_zero
 from repro.core.exceptions import ParameterError, SaturationError
 from repro.core.kkt import solve_kkt
 from repro.core.newton import (
-    _d2_response_drho2_vec,
-    _waiting_factor_from_p0,
+    _BLOCK,
+    _response_derivatives,
     marginal_cost_and_slope_vec,
     p_zero_vec,
     solve_newton,
@@ -29,6 +29,7 @@ from repro.core.objective import marginal_cost
 from repro.core.response import (
     Discipline,
     d2_generic_response_time_drho2,
+    d_generic_response_time_drho,
     waiting_factor,
 )
 from repro.core.server import BladeServer, BladeServerGroup
@@ -95,7 +96,9 @@ class TestKernels:
                 rhos.append(rho)
                 expected.append(waiting_factor(m, rho))
         ms, rhos = np.array(ms), np.array(rhos)
-        got = _waiting_factor_from_p0(ms, rhos, p_zero_vec(ms, rhos))
+        got, _, _ = _response_derivatives(
+            ms, ms.astype(float), np.ones_like(rhos), rhos, 0.0 * rhos, Discipline.FCFS
+        )
         np.testing.assert_allclose(got, expected, rtol=1e-11)
 
 
@@ -107,7 +110,7 @@ class TestBatchedSecondDerivative:
         rhos = np.array([0.3, 0.0, 0.55, 0.7, 0.9, 0.15])
         rho_s = np.array([0.1, 0.0, 0.2, 0.3, 0.25, 0.05])
         d = Discipline.coerce(disc)
-        got = _d2_response_drho2_vec(ms, xbars, rhos, rho_s, d, p_zero_vec(ms, rhos))
+        _, _, got = _response_derivatives(ms, ms.astype(float), xbars, rhos, rho_s, d)
         want = [
             d2_generic_response_time_drho2(
                 int(ms[i]), float(xbars[i]), float(rhos[i]), float(rho_s[i]), d
@@ -165,6 +168,74 @@ class TestMarginalAndSlope:
         g_hi, _ = marginal_cost_and_slope_vec(ms, xbars, specials, lams + h, 4.0, d)
         g_lo, _ = marginal_cost_and_slope_vec(ms, xbars, specials, lams - h, 4.0, d)
         np.testing.assert_allclose(slope, (g_hi - g_lo) / (2 * h), rtol=2e-5)
+
+    @staticmethod
+    def scalar_slope(m, xbar, special, lam, total, disc):
+        """``g' = (xbar/m) (2 dT'/drho + rho' d2T'/drho2) / lambda'``
+        from the scalar derivatives, at the kernel's own utilizations."""
+        rho = (lam + special) * xbar / m
+        rho_g = lam * xbar / m
+        rho_s = special * xbar / m
+        dt = d_generic_response_time_drho(m, xbar, rho, rho_s, disc)
+        d2t = d2_generic_response_time_drho2(m, xbar, rho, rho_s, disc)
+        return (xbar / m) * (2.0 * dt + rho_g * d2t) / total
+
+    @pytest.mark.parametrize("disc", DISCIPLINES)
+    def test_slope_matches_scalar_derivatives(self, disc):
+        d = Discipline.coerce(disc)
+        ms, xbars, specials, lams = [], [], [], []
+        for m in (1, 2, 3, 7, 14, 60, 250):
+            for rho in (0.0, 1e-9, 0.3, 0.9, 0.999):
+                for special_frac in (0.0, 0.3):
+                    xbar = 0.7 + 0.05 * (len(ms) % 26)
+                    cap = m / xbar
+                    ms.append(m)
+                    xbars.append(xbar)
+                    specials.append(special_frac * rho * cap)
+                    lams.append((1.0 - special_frac) * rho * cap)
+        ms = np.array(ms, dtype=np.int64)
+        xbars, specials, lams = map(np.array, (xbars, specials, lams))
+        _, slope = marginal_cost_and_slope_vec(ms, xbars, specials, lams, 3.0, d)
+        want = [
+            self.scalar_slope(int(m), xb, sp, lam, 3.0, d)
+            for m, xb, sp, lam in zip(ms, xbars, specials, lams)
+        ]
+        np.testing.assert_allclose(slope, want, rtol=1e-12)
+
+    def test_blocked_batch_matches_scalar_derivatives(self):
+        # More servers than one kernel block: the sampled indices
+        # straddle every block boundary.
+        rng = np.random.default_rng(11)
+        n = 20_000
+        assert n > 2 * _BLOCK
+        ms = rng.integers(1, 41, size=n).astype(np.int64)
+        xbars = rng.uniform(0.3, 2.0, size=n)
+        cap = ms / xbars
+        specials = rng.uniform(0.0, 0.3, size=n) * cap
+        specials[rng.random(n) < 0.3] = 0.0
+        lams = rng.uniform(0.0, 0.6, size=n) * cap
+        lams[rng.random(n) < 0.2] = 0.0
+        sample = np.unique(
+            np.concatenate(
+                [
+                    rng.choice(n, size=200, replace=False),
+                    [0, n - 1],
+                    *[[b - 1, b] for b in range(_BLOCK, n, _BLOCK)],
+                ]
+            )
+        )
+        for d in (Discipline.FCFS, Discipline.PRIORITY):
+            g, slope = marginal_cost_and_slope_vec(ms, xbars, specials, lams, 50.0, d)
+            want_g = [
+                marginal_cost(int(ms[i]), xbars[i], specials[i], lams[i], 50.0, d)
+                for i in sample
+            ]
+            want = [
+                self.scalar_slope(int(ms[i]), xbars[i], specials[i], lams[i], 50.0, d)
+                for i in sample
+            ]
+            np.testing.assert_allclose(g[sample], want_g, rtol=1e-11)
+            np.testing.assert_allclose(slope[sample], want, rtol=1e-12)
 
 
 class TestBackendAgreement:
@@ -301,6 +372,39 @@ class TestWarmStart:
         warm = solve_newton(paper_group, EXAMPLE_TOTAL_RATE, phi_hint=cold.phi)
         assert warm.iterations <= 3
         assert warm.iterations < cold.iterations
+
+    @pytest.mark.parametrize("n, lam", [(64, 0.192), (500, 0.5)])
+    def test_exact_hint_on_a_flat_band_converges_at_once(self, n, lam):
+        # Fleet shape at very low load: the few active servers' marginals
+        # are flat to float precision, so at the exact multiplier their
+        # inner roots stay at the cold split and the Newton step on phi
+        # rounds to zero.  The step is taken in rate space instead
+        # (cold: ~50 outer iterations, and ~60 with this hint before).
+        group = BladeServerGroup(
+            [
+                BladeServer(size=1 + i % 16, speed=0.6 + 0.01 * (i % 120))
+                for i in range(n)
+            ],
+            rbar=1.0,
+        )
+        cold = solve_newton(group, lam)
+        warm = solve_newton(group, lam, phi_hint=cold.phi)
+        assert warm.iterations == 1 < cold.iterations
+        assert warm.phi == cold.phi
+        assert warm.mean_response_time == pytest.approx(
+            cold.mean_response_time, rel=1e-12
+        )
+        assert float(abs(warm.generic_rates.sum() - lam)) <= 1e-12 * lam
+        g, _ = marginal_cost_and_slope_vec(
+            group.sizes,
+            group.xbars,
+            group.special_rates,
+            warm.generic_rates,
+            lam,
+            Discipline.FCFS,
+        )
+        active = warm.generic_rates > 0.0
+        np.testing.assert_allclose(g[active], warm.phi, rtol=1e-15)
 
     def test_registered_as_warm_startable(self):
         from repro.core.solvers import warm_startable_methods

@@ -444,8 +444,9 @@ class TestDispatcherEdgeCases:
         ]
         if shares is None:
             shares = np.array([0.5, 0.5])
+        bootstrap = solve_sharded(g, 8.0, plan=plan)
         return ShardedDispatcher(
-            plan, runtimes, shares, np.random.default_rng(123)
+            plan, runtimes, shares, np.random.default_rng(123), bootstrap.phi * 8.0
         )
 
     def test_zero_total_shares_fall_back_to_uniform(self):
@@ -481,7 +482,7 @@ class TestDispatcherEdgeCases:
 
 class TestWarmRebalance:
     def test_warm_rebalance_after_rate_drop_costs_no_more_than_cold(self):
-        # A rebalance warm-starts from the previous tick's multiplier;
+        # A rebalance warm-starts from the previous solve's multiplier;
         # after the offered rate drops that hint must not cost more
         # outer iterations than solving from scratch.
         from repro.runtime.loop import LoadDistributionRuntime
@@ -506,11 +507,13 @@ class TestWarmRebalance:
             results.append(result)
             return result
 
+        bootstrap = solve_sharded(g, lam, plan=plan)
         dispatcher = ShardedDispatcher(
             plan,
             runtimes,
             np.full(8, 1 / 8),
             np.random.default_rng(0),
+            bootstrap.phi * lam,
             solve_fn=recording_solve,
         )
         readings = iter([lam, 0.98 * lam])
@@ -525,6 +528,79 @@ class TestWarmRebalance:
         cold = solve_sharded(g, 0.98 * lam, plan=plan)
         assert len(results) == 2
         assert results[1].iterations <= cold.iterations
+
+    def test_bootstrap_seeded_rebalance_is_warm_in_the_right_units(self):
+        # phi carries a factor 1/lambda', so the dispatcher rescales the
+        # bootstrap's multiplier to the rebalance rate: the re-solve
+        # lands on the answer at once and agrees with a cold solve.
+        # The rates are fleet-sharded's per-server load (150 and 225/s
+        # over 50,000 servers), where phi * lambda' is flat to float
+        # precision.
+        from repro.runtime.loop import LoadDistributionRuntime
+
+        n = 2_000
+        g = BladeServerGroup(
+            [
+                BladeServer(size=1 + i % 16, speed=0.6 + 0.01 * (i % 120))
+                for i in range(n)
+            ],
+            rbar=1.0,
+        )
+        plan = partition_group(g, ShardConfig(shards=8))
+        lam0, lam1, lam2 = 6.0, 9.0, 8.0
+        bootstrap = solve_sharded(g, lam0, plan=plan)
+        loads = np.asarray(bootstrap.metadata["shard_loads"])
+        runtimes = [
+            LoadDistributionRuntime(s.group, float(loads[s.index]), RuntimeConfig())
+            for s in plan.shards
+        ]
+        results = []
+
+        def recording_solve(*args, **kwargs):
+            result = _default_coordinator_solve(*args, **kwargs)
+            results.append(result)
+            return result
+
+        dispatcher = ShardedDispatcher(
+            plan,
+            runtimes,
+            loads,
+            np.random.default_rng(0),
+            bootstrap.phi * lam0,
+            solve_fn=recording_solve,
+        )
+        readings = iter([lam1, lam2])
+
+        class StubRateView:
+            def estimate(self, now):
+                return next(readings)
+
+        dispatcher._rate_view = StubRateView()
+        dispatcher.rebalance(0.0)
+        warm = results[0]
+        cold = solve_sharded(g, lam1, plan=plan)
+        assert warm.iterations <= 2 < cold.iterations
+        np.testing.assert_allclose(
+            warm.metadata["shard_loads"], cold.metadata["shard_loads"], rtol=1e-12
+        )
+        assert warm.mean_response_time == pytest.approx(
+            cold.mean_response_time, rel=1e-12
+        )
+
+        # A failover rebalance after the hinted one is still the exact
+        # optimum of the surviving servers.
+        live = np.ones(8, dtype=bool)
+        live[3] = False
+        dispatcher.rebalance(1.0, live=live)
+        masked = results[1]
+        survivors = np.concatenate(
+            [np.asarray(s.members) for s in plan.shards if live[s.index]]
+        )
+        subgroup = BladeServerGroup((g.servers[i] for i in survivors), rbar=g.rbar)
+        flat = solve_newton(subgroup, lam2)
+        t_masked = subgroup.mean_response_time(masked.generic_rates[survivors])
+        assert t_masked == pytest.approx(flat.mean_response_time, rel=1e-9)
+        assert masked.metadata["shard_loads"][3] == 0.0
 
 
 class TestLiveMaskedSolve:

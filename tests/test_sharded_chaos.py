@@ -36,6 +36,7 @@ from repro.shard import (
     ShardedDispatcher,
     partition_group,
     run_sharded_closed_loop,
+    solve_sharded,
 )
 from repro.workloads.traces import RateTrace
 
@@ -245,8 +246,13 @@ class TestHeartbeatDetector:
         runtimes = [
             LoadDistributionRuntime(s.group, 5.0, _config()) for s in plan.shards
         ]
+        bootstrap = solve_sharded(group, 10.0, plan=plan)
         dispatcher = ShardedDispatcher(
-            plan, runtimes, np.array([0.5, 0.5]), np.random.default_rng(0)
+            plan,
+            runtimes,
+            np.array([0.5, 0.5]),
+            np.random.default_rng(0),
+            bootstrap.phi * 10.0,
         )
         supervisor = ShardSupervisor(dispatcher, _supervisor_config())
         return dispatcher, supervisor
@@ -299,6 +305,23 @@ class TestHeartbeatDetector:
         dispatcher.completions_by_shard[1] += 7
         supervisor.heartbeat(3 * HEARTBEAT)  # silent again: suspicion 1
         assert supervisor.live[0]
+
+    def test_tick_with_every_shard_dead_counts_a_failure(self, group):
+        # Fleet dark: the live capacity, and so the target rate, is
+        # zero.  A periodic tick must count a failed rebalance and keep
+        # the fleet shedding, not raise out of the loop.
+        dispatcher, supervisor = self._fleet(group)
+        dispatcher.kill_shard(0)
+        dispatcher.kill_shard(1)
+        supervisor.heartbeat(HEARTBEAT)
+        assert not supervisor.live.any()
+        counters = supervisor.metrics.counters
+        failures = counters.rebalance_failures
+        assert supervisor.tick(2 * HEARTBEAT) is False
+        assert counters.rebalance_failures > failures
+        dispatcher.observe_arrival(2 * HEARTBEAT)
+        assert dispatcher.route() == -1
+        assert dispatcher.failover_shed == 1
 
 
 # ---------------------------------------------------------------------------

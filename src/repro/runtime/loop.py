@@ -527,7 +527,7 @@ class LoadDistributionRuntime:
             self.metrics.counters.drift_triggers += 1
             self._resolve(now, estimate, reason="drift", force=False)
 
-    def route(self, servers=None) -> int:
+    def route(self) -> int:
         """Dispatcher protocol: shed or pick a destination server."""
         o = self._obs
         if not o.enabled:

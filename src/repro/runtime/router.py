@@ -14,7 +14,7 @@ behaviour and different short-run character:
     Walker alias-table sampling: i.i.d. decisions in O(1) per task with
     an O(n) rebuild on weight change.  Bernoulli splitting of a Poisson
     stream gives exactly the paper's model in distribution, so this is
-    the backend the closed-loop validation uses.
+    the backend the closed-loop validation and the plain DES use.
 
 Both support in-place weight updates — the controller swaps splits
 while traffic flows.  Weights may contain zeros (failed or deliberately

@@ -423,7 +423,7 @@ class ShardedDispatcher:
         if self._live[self._pending]:
             self.runtimes[self._pending].observe_arrival(now)
 
-    def route(self, servers=None) -> int:
+    def route(self) -> int:
         """Delegate to the pending shard; map its pick to global index."""
         shard = self._pending
         if not self._live[shard]:
@@ -456,9 +456,7 @@ class ShardedDispatcher:
             if shard < 0:
                 self.failover_shed += 1
                 return -1
-        runtime = self.runtimes[shard]
-        forward = getattr(runtime, "route_offer", None)
-        local = runtime.route() if forward is None else forward(offer)
+        local = self.runtimes[shard].route_offer(offer)
         if local < 0:
             return -1
         return int(self._members[shard][local])

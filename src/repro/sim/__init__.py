@@ -4,7 +4,8 @@ The paper's evaluation is purely analytical; this package supplies the
 empirical counterpart: an event-scheduling simulator of the exact model
 (Poisson arrivals, exponential requirements, ``m_i``-blade servers,
 shared-FCFS or non-preemptive-priority queueing) used to validate the
-closed-form response times and the optimizer's output.
+closed-form response times and the optimizer's output.  Generic tasks
+are routed by :mod:`repro.runtime.router`, alias sampling by default.
 
 Typical use::
 
@@ -13,12 +14,6 @@ Typical use::
     assert rep.generic_response_time.contains(result.mean_response_time)
 """
 
-from .dispatcher import (
-    Dispatcher,
-    DynamicDispatcher,
-    ProbabilisticDispatcher,
-    WeightedRoundRobinDispatcher,
-)
 from .engine import (
     GroupSimulation,
     SimulationConfig,
@@ -61,8 +56,6 @@ __all__ = [
     "RetryPolicy",
     "TracedPoissonArrivals",
     "DeterministicRequirement",
-    "Dispatcher",
-    "DynamicDispatcher",
     "ErlangRequirement",
     "ExponentialRequirement",
     "HyperExponentialRequirement",
@@ -71,7 +64,6 @@ __all__ = [
     "EventQueue",
     "EventType",
     "GroupSimulation",
-    "ProbabilisticDispatcher",
     "ReplicatedResult",
     "RunningStats",
     "SimServer",
@@ -80,7 +72,6 @@ __all__ = [
     "SimulationResult",
     "StreamFactory",
     "TaskClass",
-    "WeightedRoundRobinDispatcher",
     "TimeWeightedStats",
     "exponential",
     "run_replications",

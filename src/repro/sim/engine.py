@@ -1,10 +1,11 @@
 """Discrete-event simulation engine for a heterogeneous blade-server group.
 
 Realizes the paper's model end-to-end: a group-wide Poisson stream of
-generic tasks split by a dispatcher, independent per-server Poisson
-streams of special tasks, exponential execution requirements shared by
-both classes, ``m_i`` blades of speed ``s_i`` per server, and either the
-shared-FCFS or the non-preemptive-priority discipline.
+generic tasks split by a router (by default the router registry's alias
+sampler), independent per-server Poisson streams of special tasks,
+exponential execution requirements shared by both classes, ``m_i``
+blades of speed ``s_i`` per server, and either the shared-FCFS or the
+non-preemptive-priority discipline.
 
 The engine is the validation substrate for the analytical model: run it
 at the optimizer's rates and the measured mean generic response time
@@ -34,7 +35,6 @@ from ..core.response import Discipline
 from ..core.server import BladeServerGroup
 from ..obs import get_obs
 from .arrivals import ArrivalProcess, ClientWorkload, Offer, PoissonArrivals
-from .dispatcher import Dispatcher, ProbabilisticDispatcher
 from .events import EventQueue, EventType
 from .requirements import ExponentialRequirement, RequirementDistribution
 from .rng import StreamFactory, exponential
@@ -54,7 +54,8 @@ class SimulationConfig:
     total_generic_rate:
         Group-wide generic arrival rate ``lambda'``.
     fractions:
-        Routing probabilities ``lambda'_i / lambda'`` (must sum to 1).
+        Routing probabilities ``lambda'_i / lambda'``; the engine's own
+        router requires a distribution (finite, ``>= 0``, sum 1).
     discipline:
         Queueing discipline for special tasks.
     horizon:
@@ -148,8 +149,15 @@ class GroupSimulation:
     config:
         Run parameters (rates, discipline, horizon, warmup, seed).
     dispatcher:
-        Optional dispatcher override; defaults to the paper's
-        probabilistic splitter with ``config.fractions``.
+        Optional dispatcher override: an object with ``route()`` (a
+        server index, negative to shed) and optionally
+        ``route_offer(offer)``, such as the online runtime, or a static
+        :class:`~repro.runtime.policies.RouterPolicy` such as
+        :class:`~repro.runtime.router.SmoothWeightedRoundRobinRouter`,
+        whose ``pick()`` is called.  Defaults to the registry's
+        ``"alias"`` router over ``config.fractions`` on the dedicated
+        ``"routing"`` stream: Bernoulli splitting of the Poisson
+        stream, the paper's model exactly in distribution.
     requirement:
         Optional execution-requirement distribution; defaults to the
         paper's exponential with mean ``group.rbar``.  Supplying a
@@ -197,15 +205,15 @@ class GroupSimulation:
         per-class retry budget, and admitted tasks that outlive
         ``retry.timeout`` are re-offered while the original keeps
         consuming service.  Offer-aware dispatchers (those exposing
-        ``route_offer``) receive the offer; others fall back to the
-        classic ``route(servers)`` call.
+        ``route_offer``) receive the offer; others route it like a
+        plain arrival.
     """
 
     def __init__(
         self,
         group: BladeServerGroup,
         config: SimulationConfig,
-        dispatcher: Dispatcher | None = None,
+        dispatcher=None,
         requirement: "RequirementDistribution | None" = None,
         collect_tasks: bool = False,
         classifier=None,
@@ -233,10 +241,20 @@ class GroupSimulation:
             for i in np.flatnonzero(group.special_rates > 0.0)
         }
         if dispatcher is None:
-            dispatcher = ProbabilisticDispatcher(
-                config.fractions, self._streams.stream("routing")
-            )
-        self._dispatcher = dispatcher
+            # Imported here: repro.runtime.loop imports this module.
+            from ..runtime.router import AliasTableRouter
+
+            # The router would renormalize [0.5, 0.6] silently; NaN fails
+            # both tests.
+            p = np.asarray(config.fractions, dtype=float)
+            ok = np.all(p >= 0.0) and np.isclose(p.sum(), 1.0, rtol=1e-9, atol=1e-12)
+            if not ok:
+                raise ParameterError(
+                    f"fractions must be finite, >= 0 and sum to 1, "
+                    f"got {config.fractions!r}"
+                )
+            dispatcher = AliasTableRouter(p, self._streams.stream("routing"))
+        self._bind_dispatcher(dispatcher)
         if requirement is None:
             requirement = ExponentialRequirement(group.rbar)
         elif abs(requirement.mean - group.rbar) > 1e-9 * group.rbar:
@@ -308,22 +326,33 @@ class GroupSimulation:
         if time < self.config.horizon:
             self._events.schedule(time, EventType.CONTROL, payload=action)
 
+    def _bind_dispatcher(self, dispatcher) -> None:
+        """Resolve, once per dispatcher, the calls the event loop makes."""
+        route = getattr(dispatcher, "route", None)
+        if route is None:
+            route = dispatcher.pick  # a RouterPolicy, routed state-blind
+        route_offer = getattr(dispatcher, "route_offer", None)
+        if route_offer is None:
+            route_offer = lambda offer: route()
+        self._route = route
+        self._route_offer = route_offer
+
     def swap_dispatcher(
         self,
-        dispatcher: Dispatcher,
+        dispatcher,
         *,
         arrival_listener=None,
         completion_listener=None,
     ) -> None:
         """Replace the dispatcher (and optionally its listeners) live.
 
-        The event loop reads ``self._dispatcher`` and the listeners on
-        every event, so the swap takes effect at the very next arrival.
+        The event loop reads the bound routing calls and the listeners
+        on every event, so the swap takes effect at the very next arrival.
         This is the crash-recovery boundary: a rebuilt control plane
         takes over routing while the data plane — queues, in-flight
         tasks, and every engine RNG stream — continues untouched.
         """
-        self._dispatcher = dispatcher
+        self._bind_dispatcher(dispatcher)
         if arrival_listener is not None:
             self._arrival_listener = arrival_listener
         if completion_listener is not None:
@@ -547,13 +576,9 @@ class GroupSimulation:
                         self._arrival_listener(now)
                     if offer is not None:
                         offered_by_class[offer.cls] += 1
-                        route_offer = getattr(self._dispatcher, "route_offer", None)
-                        if route_offer is not None:
-                            dest = route_offer(offer)
-                        else:
-                            dest = self._dispatcher.route(self._servers)
+                        dest = self._route_offer(offer)
                     else:
-                        dest = self._dispatcher.route(self._servers)
+                        dest = self._route()
                     if dest < 0:
                         # Dispatcher shed the task (degraded mode): it never
                         # enters any queue and produces no statistics.

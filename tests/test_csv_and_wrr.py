@@ -1,18 +1,15 @@
-"""Tests for FigureSeries CSV export, the CLI --csv flag, and the
-weighted round-robin dispatcher."""
+"""Tests for FigureSeries CSV export, the CLI --csv flag, and smooth
+weighted round-robin routing in the simulator."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.core.exceptions import ParameterError
 from repro.core.server import BladeServerGroup
 from repro.experiments.cli import main
 from repro.experiments import run_experiment
-from repro.sim.dispatcher import WeightedRoundRobinDispatcher
+from repro.runtime.router import SmoothWeightedRoundRobinRouter
 from repro.sim.engine import GroupSimulation, SimulationConfig
-from repro.sim.server import SimServer
 
 
 class TestFigureCsv:
@@ -55,37 +52,9 @@ class TestFigureCsv:
 
 
 class TestWeightedRoundRobin:
-    def test_exact_long_run_shares(self):
-        d = WeightedRoundRobinDispatcher([0.2, 0.5, 0.3])
-        servers = [SimServer(i, 1, 1.0) for i in range(3)]
-        counts = np.zeros(3)
-        n = 10_000
-        for _ in range(n):
-            counts[d.route(servers)] += 1
-        assert np.allclose(counts / n, [0.2, 0.5, 0.3], atol=1e-3)
-
-    def test_smoothness_property(self):
-        # Smooth WRR: in every prefix, each server's count stays within
-        # one dispatch of its fair share (robust to the floating-point
-        # credit drift that breaks strict rotation).
-        d = WeightedRoundRobinDispatcher([1.0, 1.0, 1.0])
-        servers = [SimServer(i, 1, 1.0) for i in range(3)]
-        counts = np.zeros(3)
-        for step in range(1, 300):
-            counts[d.route(servers)] += 1
-            assert np.all(np.abs(counts - step / 3.0) <= 1.0 + 1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            WeightedRoundRobinDispatcher([])
-        with pytest.raises(ParameterError):
-            WeightedRoundRobinDispatcher([-0.1, 1.0])
-        with pytest.raises(ParameterError):
-            WeightedRoundRobinDispatcher([0.0, 0.0])
-
     def test_smoother_than_bernoulli_in_simulation(self):
         # Deterministic spacing reduces generic waiting vs. the
-        # probabilistic splitter at the same rates.
+        # engine's default Bernoulli (alias-table) split at the same rates.
         group = BladeServerGroup.from_arrays([2, 2], [1.0, 1.0])
         lam = 0.8 * group.max_generic_rate
         config = SimulationConfig(
@@ -97,7 +66,7 @@ class TestWeightedRoundRobin:
         )
         bern = GroupSimulation(group, config).run()
         wrr = GroupSimulation(
-            group, config, dispatcher=WeightedRoundRobinDispatcher([0.5, 0.5])
+            group, config, dispatcher=SmoothWeightedRoundRobinRouter([0.5, 0.5])
         ).run()
         assert (
             wrr.generic_waiting_time < bern.generic_waiting_time

@@ -181,6 +181,25 @@ class TestSmoothWeightedRoundRobin:
         with pytest.raises(ParameterError):
             SmoothWeightedRoundRobinRouter([0.0, 0.0])
 
+    def test_invalid_weights_rejected(self):
+        for bad in ([], [-0.1, 1.0], [float("nan"), 1.0]):
+            with pytest.raises(ParameterError):
+                SmoothWeightedRoundRobinRouter(bad)
+
+    @pytest.mark.parametrize(
+        "weights", [[1.0, 1.0, 1.0], [0.2, 0.5, 0.3], [0.6, 0.0, 0.3, 0.1]]
+    )
+    def test_smoothness_property(self, weights):
+        # In every prefix, each server's count stays within one pick of
+        # its fair share (robust to the floating-point credit drift that
+        # breaks strict rotation).
+        router = SmoothWeightedRoundRobinRouter(weights)
+        w = router.weights
+        counts = np.zeros(w.size)
+        for step in range(1, 300):
+            counts[router.pick()] += 1
+            assert np.all(np.abs(counts - step * w) <= 1.0 + 1e-9)
+
 
 class TestAliasTableRouter:
     def test_empirical_frequencies_match_weights(self):
@@ -206,6 +225,11 @@ class TestAliasTableRouter:
     def test_unnormalized_weights_accepted(self):
         router = AliasTableRouter([2.0, 2.0], np.random.default_rng(3))
         np.testing.assert_allclose(router.weights, [0.5, 0.5])
+
+    def test_weights_property_copies(self):
+        router = AliasTableRouter([0.4, 0.6], np.random.default_rng(4))
+        router.weights[0] = 99.0
+        assert router.weights[0] == pytest.approx(0.4)
 
 
 def test_build_router_dispatches_and_validates():
@@ -481,7 +505,7 @@ class _SheddingDispatcher:
     def __init__(self) -> None:
         self.calls = 0
 
-    def route(self, servers) -> int:
+    def route(self) -> int:
         self.calls += 1
         return -1 if self.calls % 2 == 0 else 0
 

@@ -465,7 +465,7 @@ class TestDispatcherEdgeCases:
         # surface as -1 from the composite, not as a mangled global
         # index.
         dispatcher = self._dispatcher(shares=np.array([1.0, 0.0]))
-        dispatcher.runtimes[0].route = lambda servers=None: -1
+        dispatcher.runtimes[0].route = lambda: -1
         dispatcher.observe_arrival(0.0)
         assert dispatcher.route() == -1
 

@@ -1,13 +1,18 @@
-"""Unit tests for simulator components: rng, events, task, server, dispatcher."""
+"""Unit tests for simulator components: rng, events, task, server, and
+the engine's default router."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from repro import solve
 from repro.core.exceptions import ParameterError, SimulationError
 from repro.core.response import Discipline
-from repro.sim.dispatcher import DynamicDispatcher, ProbabilisticDispatcher
+from repro.core.server import BladeServerGroup
+from repro.runtime.router import SmoothWeightedRoundRobinRouter
+from repro.sim.engine import GroupSimulation, SimulationConfig
 from repro.sim.events import EventQueue, EventType
 from repro.sim.rng import StreamFactory, exponential
 from repro.sim.server import SimServer
@@ -193,62 +198,62 @@ class TestSimServerPriority:
         assert s.on_departure(2.0).task_id == 3
 
 
-class TestProbabilisticDispatcher:
-    def make(self, fractions, seed=0):
-        return ProbabilisticDispatcher(
-            fractions, np.random.default_rng(seed)
+class TestDefaultRouter:
+    """The router the engine builds when no dispatcher is passed."""
+
+    RATE = 23.52  # Table 1's lambda'
+
+    def routed_counts(self, group, fractions, seed):
+        """Generic tasks routed to each server over one seeded run."""
+        counts = np.zeros(group.n, dtype=np.int64)
+
+        def count(task):
+            if task.task_class is TaskClass.GENERIC:
+                counts[task.server_index] += 1
+
+        config = SimulationConfig(
+            total_generic_rate=self.RATE,
+            fractions=tuple(float(f) for f in fractions),
+            horizon=1_000.0,
+            warmup=0.0,
+            seed=seed,
         )
+        GroupSimulation(group, config, classifier=count).run()
+        return counts
 
-    def test_empirical_frequencies(self):
-        d = self.make([0.2, 0.5, 0.3])
-        servers = [SimServer(i, 1, 1.0) for i in range(3)]
-        counts = np.zeros(3)
-        for _ in range(30_000):
-            counts[d.route(servers)] += 1
-        assert np.allclose(counts / counts.sum(), [0.2, 0.5, 0.3], atol=0.01)
+    def test_split_matches_fractions(self, paper_group):
+        # Chi-square goodness of fit of the routed counts against the
+        # KKT fractions of Table 1: a certificate that the default
+        # router realizes the paper's split, not merely some split.
+        fractions = np.asarray(solve(paper_group, self.RATE).fractions)
+        counts = self.routed_counts(paper_group, fractions, seed=2011)
+        assert counts.sum() > 20_000
+        _, p = stats.chisquare(counts, counts.sum() * fractions)
+        assert p > 1e-3
 
-    def test_degenerate_distribution(self):
-        d = self.make([0.0, 1.0, 0.0])
-        servers = [SimServer(i, 1, 1.0) for i in range(3)]
-        assert all(d.route(servers) == 1 for _ in range(100))
+    def test_zero_fraction_server_gets_nothing(self, paper_group):
+        fractions = np.asarray(solve(paper_group, self.RATE).fractions)
+        fractions[0] = 0.0
+        fractions /= fractions.sum()
+        counts = self.routed_counts(paper_group, fractions, seed=2012)
+        assert counts[0] == 0
+        _, p = stats.chisquare(counts[1:], counts.sum() * fractions[1:])
+        assert p > 1e-3
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            self.make([0.5, 0.6])  # sums to 1.1
-        with pytest.raises(ParameterError):
-            self.make([-0.1, 1.1])
-        with pytest.raises(ParameterError):
-            self.make([])
+        group = BladeServerGroup.from_arrays([2, 2], [1.0, 1.0])
 
-    def test_fractions_property_copies(self):
-        d = self.make([0.4, 0.6])
-        f = d.fractions
-        f[0] = 99.0
-        assert d.fractions[0] == pytest.approx(0.4)
+        def config(fractions):
+            return SimulationConfig(total_generic_rate=1.0, fractions=fractions)
 
-
-class TestDynamicDispatcher:
-    def test_routes_to_least_loaded(self):
-        d = DynamicDispatcher([0.5, 0.5])
-        s0, s1 = SimServer(0, 1, 1.0), SimServer(1, 1, 1.0)
-        s0.on_arrival(task(1), 0.0)  # s0 now busier
-        assert d.route([s0, s1]) == 1
-
-    def test_respects_zero_fractions(self):
-        d = DynamicDispatcher([0.0, 1.0])
-        s0, s1 = SimServer(0, 8, 9.0), SimServer(1, 1, 0.1)
-        s1.on_arrival(task(1), 0.0)
-        # s0 is hugely preferable but ineligible.
-        assert d.route([s0, s1]) == 1
-
-    def test_normalizes_by_capacity(self):
-        d = DynamicDispatcher([0.5, 0.5])
-        fast = SimServer(0, 4, 2.0)
-        slow = SimServer(1, 1, 0.5)
-        fast.on_arrival(task(1), 0.0)  # 1 task on 8 capacity
-        slow.on_arrival(task(2), 0.0)  # 1 task on 0.5 capacity
-        assert d.route([fast, slow]) == 0
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ParameterError):
-            DynamicDispatcher([0.0, 0.0])
+        for bad in [(0.5, 0.6), (-0.1, 1.1), (float("nan"), 1.0),
+                    (float("inf"), 0.0), ()]:
+            with pytest.raises(ParameterError):
+                GroupSimulation(group, config(bad))
+        # The check guards the engine's own router only: a passed-in
+        # dispatcher routes by its own weights.
+        GroupSimulation(
+            group,
+            config((0.5, 0.6)),
+            dispatcher=SmoothWeightedRoundRobinRouter([1.0, 1.0]),
+        )

@@ -48,7 +48,7 @@ from ..core.exceptions import ClusterDownError, ParameterError
 from ..core.result import LoadDistributionResult
 from ..core.server import BladeServerGroup
 from ..obs import ConfigBase, get_obs
-from ..runtime.controller import ResolveController, ResolveOutcome
+from ..runtime.controller import ResolveController, ResolveOutcome, _deep_tuple
 from ..runtime.health import HealthTracker
 from ..runtime.metrics import RuntimeMetrics
 
@@ -60,13 +60,6 @@ __all__ = [
     "proportional_split",
     "ResilienceSupervisor",
 ]
-
-
-def _deep_tuple(value):
-    """Recursively convert lists back into tuples (JSON inverse)."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_deep_tuple(v) for v in value)
-    return value
 
 
 class Breaker:
@@ -209,8 +202,6 @@ class SupervisorConfig(ConfigBase):
     rho_cap:
         Watchdog bound on every active server's total utilization
         (strictly below 1; the queue diverges at 1).
-    watchdog:
-        Whether outcome invariants are checked (and repaired) at all.
     """
 
     fallback_methods: tuple[str, ...] = ("bisection",)
@@ -219,7 +210,6 @@ class SupervisorConfig(ConfigBase):
     breaker_threshold: int = 3
     breaker_cooldown: float = 200.0
     rho_cap: float = 0.995
-    watchdog: bool = True
 
     def __post_init__(self) -> None:
         Breaker.check_config(self)
@@ -586,8 +576,7 @@ class ResilienceSupervisor:
 
         failures: list[str] = []
         outcome = self._attempt_chain(now, offered_rate, failures, state)
-        if self.config.watchdog:
-            outcome = self._enforce_invariants(now, offered_rate, outcome)
+        outcome = self._enforce_invariants(now, offered_rate, outcome)
         if outcome.source != "cluster-down":
             self._pin(now, outcome)
         return outcome

@@ -56,7 +56,10 @@ __all__ = [
 #: v4: the response-time histogram moved into the metrics registry
 #: snapshot (family ``runtime_response_time``); the separate
 #: ``metrics.response_histogram`` key is gone.  Journals are unchanged.
-SCHEMA_VERSION = 4
+#: v5: RuntimeConfig kept only the caller-set knobs (the persisted
+#: config dict shrank) and the supervisor section is always present.
+#: Journals are unchanged.
+SCHEMA_VERSION = 5
 
 _CHECKPOINT_PREFIX = "checkpoint-"
 _CHECKPOINT_SUFFIX = ".json"
@@ -209,7 +212,6 @@ class CheckpointCodec:
         Must only be called at a safe point (see the module docstring).
         """
         enc = self.encode_result
-        supervisor = runtime.supervisor
         router = runtime._router
         snapshot = {
             "schema": SCHEMA_VERSION,
@@ -220,7 +222,7 @@ class CheckpointCodec:
             "estimator": runtime.estimator.state_dict(),
             "drift": runtime.drift.state_dict(),
             "controller": runtime.controller.state_dict(enc),
-            "supervisor": None if supervisor is None else supervisor.state_dict(enc),
+            "supervisor": runtime.supervisor.state_dict(enc),
             "health": runtime.health.state_dict(),
             "router": None if router is None else router.state_dict(),
             "runtime": {
@@ -285,10 +287,7 @@ class CheckpointCodec:
         runtime.estimator.load_state(snapshot["estimator"])
         runtime.drift.load_state(snapshot["drift"])
         runtime.controller.load_state(snapshot["controller"], dec)
-        if snapshot["supervisor"] is not None:
-            if runtime.supervisor is None:  # pragma: no cover - config guard above
-                raise RecoveryError("supervisor state without a supervisor", path=path)
-            runtime.supervisor.load_state(snapshot["supervisor"], dec)
+        runtime.supervisor.load_state(snapshot["supervisor"], dec)
         runtime.health.load_state(snapshot["health"])
 
         state = snapshot["runtime"]

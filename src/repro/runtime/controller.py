@@ -97,8 +97,6 @@ class ResolveController:
         :func:`~repro.core.solvers.dispatch` (the default).  The
         fault-injection framework substitutes a wrapped callable here;
         production callers never need to.
-    **solver_kwargs:
-        Forwarded to every solver call (e.g. ``tol``).
     """
 
     def __init__(
@@ -110,7 +108,6 @@ class ResolveController:
         cache_size: int = 64,
         hysteresis: float = 0.0,
         solve_fn=None,
-        **solver_kwargs,
     ) -> None:
         if not (0.0 < rate_quantum < 0.5):
             raise ParameterError(
@@ -127,7 +124,6 @@ class ResolveController:
         self._quantum = float(rate_quantum)
         self._cache_size = int(cache_size)
         self.hysteresis = float(hysteresis)
-        self._solver_kwargs = dict(solver_kwargs)
         self._cache: OrderedDict[tuple, LoadDistributionResult] = OrderedDict()
         # Warm-start anchor: the last converged multiplier, valid only
         # while the active configuration it was solved on is unchanged.
@@ -214,7 +210,7 @@ class ResolveController:
                 latency=0.0,
             )
 
-        kwargs = dict(self._solver_kwargs)
+        kwargs = {}
         if (
             backend in warm_startable_methods()
             and self._phi_hint is not None

@@ -40,7 +40,7 @@ from ..sim.task import SimTask, TaskClass
 from ..workloads.traces import RateTrace
 from .admission import AdmissionConfig, AdmissionController
 from .controller import ResolveController
-from .estimator import DriftDetector, EwmaRateEstimator, SlidingWindowRateEstimator
+from .estimator import DriftDetector, EwmaRateEstimator
 from .health import HealthTracker
 from .metrics import RuntimeMetrics
 from .policies import RoutingConfig, build_router, router_spec
@@ -55,38 +55,41 @@ __all__ = [
 ]
 
 
+#: Degradation cap of the runtime's :class:`HealthTracker`: admitted
+#: load never exceeds this fraction of the surviving capacity.
+UTILIZATION_CAP = 0.92
+#: The controller's adoption hysteresis: minimum total-variation
+#: distance between routing-fraction vectors for a new split to replace
+#: the live one.
+HYSTERESIS = 0.01
+#: Backwards-timestamp jitter the rate estimator clamps instead of
+#: raising on (replayed/merged event streams carry small jitter).
+TIME_TOLERANCE = 1e-6
+
+
 @dataclass(frozen=True, kw_only=True)
 class RuntimeConfig(ConfigBase):
     """Tuning knobs of the online runtime (defaults are sane for sim scale).
 
     Keyword-only and frozen; round-trips through ``to_dict()`` /
-    ``from_dict()`` like every config in the library.
+    ``from_dict()`` like every config in the library.  Component knobs
+    not listed here keep their component defaults, except the module
+    constants :data:`UTILIZATION_CAP`, :data:`HYSTERESIS` and
+    :data:`TIME_TOLERANCE`.
 
     Attributes
     ----------
     discipline, method:
         Forwarded to the solver (see
         :func:`~repro.core.solvers.dispatch`).
-    estimator:
-        ``"ewma"`` (exponential kernel) or ``"window"`` (sliding count).
     time_constant:
-        EWMA time constant / sliding-window length, in simulation time.
+        EWMA time constant of the rate estimator, in simulation time.
     drift_threshold:
         Relative rate change that triggers a re-solve.
     min_dwell:
         Minimum time between drift-triggered re-solves.
     resolve_period:
         Optional periodic re-solve interval (``inf`` disables).
-    hysteresis:
-        Minimum total-variation distance between routing-fraction
-        vectors for a new split to replace the live one.
-    rate_quantum:
-        Solver-target quantization grid, as a fraction of capacity.
-    cache_size:
-        LRU capacity of the solved-split cache.
-    utilization_cap:
-        Degradation cap: admitted load never exceeds this fraction of
-        the surviving capacity; the excess is shed.
     router:
         Legacy data-plane knob: the routing policy name, honored only
         when ``routing`` is ``None``.  Prefer ``routing``.
@@ -108,36 +111,6 @@ class RuntimeConfig(ConfigBase):
     seed:
         Seed of the runtime's own randomness (alias sampling, shed
         coin) — independent of the simulator's streams.
-    solver_tol:
-        Optional solver tolerance override.
-    supervise:
-        Whether to wrap the controller in the resilience supervisor
-        (fallback chain, circuit breaker, invariant watchdog, dark-
-        cluster shed-all).  Off restores the PR 2 trust-everything
-        behaviour: solver exceptions escape the loop.
-    fallback_methods:
-        Alternate solver backends of the supervisor's fallback chain,
-        tried in order after the primary; the capacity-proportional
-        heuristic is always the implicit last rung.
-    solver_retries:
-        Extra primary solver attempts per decision before falling
-        through the chain.
-    solver_backoff:
-        Simulated time after a primary solver fault during which new
-        decisions skip the primary entirely.
-    breaker_threshold:
-        Consecutive primary-failed decisions that open the circuit
-        breaker (pinning the last-known-good split).
-    breaker_cooldown:
-        Simulated time the breaker stays open before a half-open probe.
-    watchdog:
-        Whether the supervisor checks (and repairs) split invariants
-        before adoption.
-    rho_cap:
-        Watchdog bound on any active server's total utilization.
-    time_tolerance:
-        Backwards-timestamp jitter the rate estimators clamp instead of
-        raising on (replayed/merged event streams carry small jitter).
     obs:
         Observability knob (see :class:`repro.obs.ObsConfig`).  When
         ``obs.enabled`` the runtime installs it as the global context
@@ -156,29 +129,14 @@ class RuntimeConfig(ConfigBase):
 
     discipline: Discipline | str = Discipline.FCFS
     method: str = "auto"
-    estimator: str = "ewma"
     time_constant: float = 150.0
     drift_threshold: float = 0.1
     min_dwell: float = 25.0
     resolve_period: float = math.inf
-    hysteresis: float = 0.01
-    rate_quantum: float = 0.002
-    cache_size: int = 64
-    utilization_cap: float = 0.92
     router: str = "swrr"
     routing: RoutingConfig | None = None
     admission: AdmissionConfig | None = None
     seed: int = 0
-    solver_tol: float | None = None
-    supervise: bool = True
-    fallback_methods: tuple[str, ...] = ("bisection",)
-    solver_retries: int = 1
-    solver_backoff: float = 30.0
-    breaker_threshold: int = 3
-    breaker_cooldown: float = 200.0
-    watchdog: bool = True
-    rho_cap: float = 0.995
-    time_tolerance: float = 1e-6
     obs: ObsConfig = ObsConfig()
     recovery: RecoveryConfig = RecoveryConfig()
 
@@ -202,7 +160,7 @@ class ResolveEvent:
     adopted: bool
     #: Provenance of the adopted split: ``"primary"``, a
     #: ``"fallback:*"`` rung, ``"circuit-pinned"``, or
-    #: ``"cluster-down"`` (always ``"primary"`` when unsupervised).
+    #: ``"cluster-down"``.
     source: str = "primary"
     #: Fallback-chain depth the decision reached (0 = primary).
     depth: int = 0
@@ -264,10 +222,7 @@ class LoadDistributionRuntime:
             )
         if fault_plan is not None:
             fault_plan.bind_clock(lambda: self._now)
-        self.health = HealthTracker(group, utilization_cap=config.utilization_cap)
-        solver_kwargs = {}
-        if config.solver_tol is not None:
-            solver_kwargs["tol"] = config.solver_tol
+        self.health = HealthTracker(group, utilization_cap=UTILIZATION_CAP)
         solve_fn = None
         if fault_plan is not None:
             from ..core.solvers import dispatch
@@ -277,54 +232,27 @@ class LoadDistributionRuntime:
             self.health,
             discipline=config.discipline,
             method=config.method,
-            rate_quantum=config.rate_quantum,
-            cache_size=config.cache_size,
-            hysteresis=config.hysteresis,
+            hysteresis=HYSTERESIS,
             solve_fn=solve_fn,
-            **solver_kwargs,
         )
-        if config.estimator == "ewma":
-            self.estimator = EwmaRateEstimator(
-                config.time_constant,
-                initial_rate=initial_rate,
-                time_tolerance=config.time_tolerance,
-            )
-        elif config.estimator == "window":
-            self.estimator = SlidingWindowRateEstimator(
-                config.time_constant,
-                initial_rate=initial_rate,
-                time_tolerance=config.time_tolerance,
-            )
-        else:
-            raise ParameterError(
-                f"unknown estimator {config.estimator!r}; use 'ewma' or 'window'"
-            )
+        self.estimator = EwmaRateEstimator(
+            config.time_constant,
+            initial_rate=initial_rate,
+            time_tolerance=TIME_TOLERANCE,
+        )
         if fault_plan is not None:
             self.estimator = fault_plan.wrap_estimator(self.estimator)
         self.drift = DriftDetector(
             threshold=config.drift_threshold, min_dwell=config.min_dwell
         )
         self.metrics = RuntimeMetrics.for_group_size(group.n)
-        self.supervisor = None
-        if config.supervise:
-            # Imported lazily: repro.faults itself imports runtime
-            # modules, and a module-level import here would cycle.
-            from ..faults.supervisor import ResilienceSupervisor, SupervisorConfig
+        # Imported lazily: repro.faults itself imports runtime modules,
+        # and a module-level import here would cycle.
+        from ..faults.supervisor import ResilienceSupervisor
 
-            self.supervisor = ResilienceSupervisor(
-                self.controller,
-                self.health,
-                self.metrics,
-                SupervisorConfig(
-                    fallback_methods=tuple(config.fallback_methods),
-                    retries=config.solver_retries,
-                    backoff=config.solver_backoff,
-                    breaker_threshold=config.breaker_threshold,
-                    breaker_cooldown=config.breaker_cooldown,
-                    rho_cap=config.rho_cap,
-                    watchdog=config.watchdog,
-                ),
-            )
+        self.supervisor = ResilienceSupervisor(
+            self.controller, self.health, self.metrics
+        )
         self.resolve_log: list[ResolveEvent] = []
         streams = StreamFactory(config.seed)
         self._shed_rng = streams.stream("shed")
@@ -363,8 +291,7 @@ class LoadDistributionRuntime:
     def _attach_recovery(self, manager: RecoveryManager) -> None:
         """Start journaling through ``manager`` (construction or restore)."""
         self._recovery = manager
-        if self.supervisor is not None:
-            self.supervisor.transition_listener = manager.record_breaker
+        self.supervisor.transition_listener = manager.record_breaker
 
     # -- state views ------------------------------------------------------------------
 
@@ -388,18 +315,11 @@ class LoadDistributionRuntime:
     def _resolve(
         self, now: float, offered_rate: float, reason: str, force: bool
     ) -> None:
-        if self.supervisor is not None:
-            sup = self.supervisor.resolve(now, offered_rate)
-            weights, result = sup.weights, sup.result
-            shed, solved_rate = sup.shed_fraction, sup.solved_rate
-            cache_hit, solver_ran = sup.cache_hit, sup.solver_ran
-            latency, source, depth = sup.latency, sup.source, sup.depth
-        else:
-            outcome = self.controller.resolve(offered_rate)
-            weights, result = outcome.weights, outcome.result
-            shed, solved_rate = outcome.plan.shed_fraction, outcome.solved_rate
-            cache_hit, solver_ran = outcome.cache_hit, not outcome.cache_hit
-            latency, source, depth = outcome.latency, "primary", 0
+        sup = self.supervisor.resolve(now, offered_rate)
+        weights, result = sup.weights, sup.result
+        shed, solved_rate = sup.shed_fraction, sup.solved_rate
+        cache_hit, solver_ran = sup.cache_hit, sup.solver_ran
+        latency, source, depth = sup.latency, sup.source, sup.depth
         shed_all = shed >= 1.0
         adopt = force or shed_all or self.controller.should_adopt(self._weights, weights)
         if adopt:
@@ -453,7 +373,7 @@ class LoadDistributionRuntime:
             else:
                 capacity = self.health.active_group().max_generic_rate
                 self._admission.reseed(
-                    now, self.config.utilization_cap * capacity
+                    now, self.health.utilization_cap * capacity
                 )
             self._drain_brownout(now)
         # Re-anchor drift detection at the rate we just planned for,

@@ -171,8 +171,6 @@ class ShardedDispatcher:
         ``phi * lambda'`` of the solve that produced ``shares`` (the
         bootstrap); the first rebalance starts from it, rescaled to its
         own rate.
-    solver_tol:
-        Optional tolerance forwarded to the coordinator solve.
     solve_fn:
         Optional replacement for the coordinator solve seam, with the
         signature ``(group, rate, discipline, method=..., **kwargs)``
@@ -189,7 +187,6 @@ class ShardedDispatcher:
         shares: np.ndarray,
         rng: np.random.Generator,
         psi: float,
-        solver_tol: float | None = None,
         solve_fn=None,
     ) -> None:
         if len(runtimes) != plan.n_shards:
@@ -207,7 +204,6 @@ class ShardedDispatcher:
         for members in self._members:
             self._local_of[members] = np.arange(members.size)
         self._rng = rng
-        self._tol = solver_tol
         self._solve = solve_fn if solve_fn is not None else _default_coordinator_solve
         self._pending = 0
         #: The last solve's multiplier times the rate it was solved at.
@@ -307,11 +303,8 @@ class ShardedDispatcher:
         capacity = self.plan.live_capacity(live_mask)
         lam = min(
             self.offered_rate(now),
-            self.runtimes[0].config.utilization_cap * capacity,
+            self.runtimes[0].health.utilization_cap * capacity,
         )
-        kwargs = {} if self._tol is None else {"tol": self._tol}
-        if live_mask is not None:
-            kwargs["live"] = live_mask
         # The marginals carry a factor 1/lambda' (g_i = (T'_i + rho'_i
         # dT'_i/drho) / lambda'), so psi = phi * lambda' is what stays
         # put across a rate change.  An out-of-band hint falls back to
@@ -325,7 +318,7 @@ class ShardedDispatcher:
             method="sharded",
             phi_hint=hint,
             plan=self.plan,
-            **kwargs,
+            live=live_mask,
         )
         self._psi = result.phi * lam
         loads = np.asarray(result.metadata["shard_loads"], dtype=float)
@@ -621,14 +614,7 @@ def run_sharded_closed_loop(
                 "restore the shard from otherwise)"
             )
 
-    solver_kwargs = {} if config.solver_tol is None else {"tol": config.solver_tol}
-    bootstrap = solve_sharded(
-        group,
-        trace.initial_rate,
-        config.discipline,
-        plan=plan,
-        **solver_kwargs,
-    )
+    bootstrap = solve_sharded(group, trace.initial_rate, config.discipline, plan=plan)
     loads = np.asarray(bootstrap.metadata["shard_loads"], dtype=float)
 
     seeds = shard_seeds(config.seed, plan.n_shards)
@@ -659,7 +645,6 @@ def run_sharded_closed_loop(
             np.random.SeedSequence([0x5AD, config.seed]).generate_state(1)[0]
         ),
         bootstrap.phi * trace.initial_rate,
-        solver_tol=config.solver_tol,
         solve_fn=solve_fn,
     )
     if fault_plan is not None:

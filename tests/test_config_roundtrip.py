@@ -5,10 +5,15 @@ losslessly — including :class:`RuntimeConfig`, which nests both an
 :class:`ObsConfig` and a :class:`RecoveryConfig` — and must reject
 unknown keys loudly instead of silently dropping them (a misspelled
 knob in a persisted checkpoint or a YAML experiment file should fail
-the load, not change behavior).
+the load, not change behavior).  The configuration table in
+``docs/RUNTIME.md`` must list exactly the fields of
+:class:`RuntimeConfig` and the values of the runtime's constants.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import os
 
 import pytest
 
@@ -17,7 +22,12 @@ from repro.faults.supervisor import SupervisorConfig
 from repro.obs import ObsConfig, ObsError
 from repro.recovery import RecoveryConfig
 from repro.runtime.admission import AdmissionConfig
-from repro.runtime.loop import RuntimeConfig
+from repro.runtime.loop import (
+    HYSTERESIS,
+    TIME_TOLERANCE,
+    UTILIZATION_CAP,
+    RuntimeConfig,
+)
 from repro.runtime.policies import RoutingConfig
 
 #: (config class, a non-default instance exercising nested/tuple/enum fields)
@@ -60,7 +70,6 @@ CASES = [
             discipline=Discipline.PRIORITY,
             method="bisection",
             drift_threshold=0.2,
-            fallback_methods=("kkt",),
             obs=ObsConfig(enabled=True, metrics=False),
             recovery=RecoveryConfig(enabled=True, directory="x", fsync=True),
             routing=RoutingConfig(policy="jiq"),
@@ -137,3 +146,37 @@ def test_unknown_key_in_nested_config_rejected():
 def test_non_mapping_rejected():
     with pytest.raises(ObsError, match="mapping"):
         RecoveryConfig.from_dict([("enabled", True)])
+
+
+def _configuration_tables() -> list[dict[str, str]]:
+    """The ``docs/RUNTIME.md`` Configuration tables, first column -> second."""
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "docs",
+        "RUNTIME.md",
+    )
+    with open(path, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    tables: list[dict[str, str]] = []
+    in_table = False
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            in_table = False
+            continue
+        cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+        if not in_table:
+            in_table = True
+            tables.append({})
+        elif not set(cells[0]) <= {"-"}:
+            tables[-1][cells[0]] = cells[1]
+    return tables
+
+
+def test_runtime_doc_table_matches_config():
+    fields_table, constants_table = _configuration_tables()
+    assert list(fields_table) == [f.name for f in dataclasses.fields(RuntimeConfig)]
+    assert {name: float(value) for name, value in constants_table.items()} == {
+        "UTILIZATION_CAP": UTILIZATION_CAP,
+        "HYSTERESIS": HYSTERESIS,
+        "TIME_TOLERANCE": TIME_TOLERANCE,
+    }

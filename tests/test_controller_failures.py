@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.exceptions import ClusterDownError, ConvergenceError
+from repro.core.exceptions import ClusterDownError
 from repro.core.server import BladeServerGroup
 from repro.core.solvers import AUTO_NEWTON_THRESHOLD, dispatch, resolve_method
 from repro.faults import FaultPlan, FaultSchedule, FaultSpec, random_fault_schedule
@@ -106,9 +106,9 @@ class TestCacheAcrossFingerprintChanges:
 class TestSolverExceptionsAreStructuredOutcomes:
     """A solver fault must never escape the runtime's ``_resolve``."""
 
-    def _runtime(self, group, schedule, **config_kwargs):
+    def _runtime(self, group, schedule):
         plan = FaultPlan(schedule)
-        config = RuntimeConfig(router="alias", **config_kwargs)
+        config = RuntimeConfig(router="alias")
         return LoadDistributionRuntime(group, 3.0, config, fault_plan=plan)
 
     def test_injected_fault_becomes_fallback_outcome(self, group):
@@ -146,16 +146,6 @@ class TestSolverExceptionsAreStructuredOutcomes:
         # Forced re-solves keep being absorbed, never raised.
         runtime._resolve(10.0, 4.0, reason="drift", force=True)
         assert runtime.resolve_log[-1].source == "fallback:proportional"
-
-    def test_unsupervised_runtime_lets_faults_escape(self, group):
-        # supervise=False restores the trust-everything behaviour; the
-        # chaos suite relies on the supervised default instead.
-        with pytest.raises(ConvergenceError):
-            self._runtime(
-                group,
-                FaultSchedule([FaultSpec("solver-error", 0.0, 1e6)], seed=0),
-                supervise=False,
-            )
 
     def test_primary_only_scope_covers_newton_on_large_groups(self):
         # The scope random_fault_schedule draws for "primary-only"

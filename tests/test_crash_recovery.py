@@ -289,17 +289,18 @@ class TestCheckpoints:
         assert hist.sum == series["sum"]
         assert list(hist.bucket_counts) == series["buckets"]
 
-    def test_v3_checkpoint_is_refused(self, tmp_path, group):
+    @pytest.mark.parametrize("schema", [3, 4])
+    def test_old_schema_checkpoint_is_refused(self, tmp_path, group, schema):
         d = str(tmp_path / "rec")
         _run(group, d, seed=2)
         _, path = list_checkpoints(d)[-1]
         snapshot = json.load(open(path, encoding="utf-8"))
-        snapshot["schema"] = 3
+        snapshot["schema"] = schema
         atomic_write_json(path, snapshot)
-        with pytest.raises(RecoveryError, match="schema 3"):
+        with pytest.raises(RecoveryError, match=f"schema {schema}"):
             load_latest_checkpoint(d)
         runtime = LoadDistributionRuntime(group, RATE, _config(d), _restore=True)
-        with pytest.raises(RecoveryError, match="schema 3"):
+        with pytest.raises(RecoveryError, match=f"schema {schema}"):
             CheckpointCodec().restore(runtime, snapshot, path=path)
 
     def test_corrupt_latest_checkpoint_falls_back_to_older(self, tmp_path, group):

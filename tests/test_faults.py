@@ -662,21 +662,6 @@ class TestSupervisorWatchdog:
         )
         assert any("down server" in v for v in violations)
 
-    def test_disabled_watchdog_lets_bad_split_through(self, group):
-        sup, solver, _, metrics = _make_supervisor(
-            group, SupervisorConfig(watchdog=False)
-        )
-
-        def poison(result):
-            rates = result.generic_rates.copy()
-            rates[0] = math.nan
-            return dataclasses.replace(result, generic_rates=rates)
-
-        solver.tamper = poison
-        out = sup.resolve(0.0, 3.0)
-        assert out.source == "primary"
-        assert metrics.counters.watchdog_violations == 0
-
     def test_clean_outcome_has_no_violations(self, group):
         sup, _, _, _ = _make_supervisor(group)
         out = sup.resolve(0.0, 3.0)

@@ -446,10 +446,7 @@ class TestClosedLoopChaosTrace:
         schedule = random_fault_schedule(
             len(small_group), horizon=300.0, seed=7, allow_cluster_down=False
         )
-        cfg = RuntimeConfig(
-            supervise=True,
-            obs=ObsConfig(enabled=True, trace_capacity=65_536),
-        )
+        cfg = RuntimeConfig(obs=ObsConfig(enabled=True, trace_capacity=65_536))
         out = run_closed_loop(
             small_group,
             RateTrace.constant(rate),

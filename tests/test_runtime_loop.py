@@ -232,7 +232,8 @@ class TestGracefulDegradation:
             collect_tasks=False,
         )
         # Offered load exceeds what the survivors can admit...
-        admissible = config.utilization_cap * survivors.max_generic_rate
+        cap = out.runtime.health.utilization_cap
+        admissible = cap * survivors.max_generic_rate
         assert lam > admissible
         # ...so the runtime sheds rather than raising InfeasibleError.
         assert out.sim.generic_shed > 0
@@ -248,7 +249,7 @@ class TestGracefulDegradation:
         # saturation, so measured utilization respects the cap.
         assert np.all(out.sim.utilizations[:2] < 1.0)
         assert np.all(
-            out.sim.utilizations[:2] < config.utilization_cap + 0.05
+            out.sim.utilizations[:2] < cap + 0.05
         )
 
     def test_recovery_clears_shedding(self, group):

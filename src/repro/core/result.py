@@ -32,7 +32,11 @@ class LoadDistributionResult:
     utilizations:
         Per-server total utilizations ``rho_i`` at the solution.
     per_server_response_times:
-        Per-server generic response times ``T'_i`` at the solution.
+        Per-server generic response times ``T'_i`` at the solution,
+        assembled in one vector pass
+        (:func:`~repro.core.response.generic_response_time_vec`).  They
+        agree with the scalar ``T'_i`` that ``mean_response_time`` sums
+        to a few ulps, not bit for bit.
     iterations:
         Iteration count of the outer solver loop, when meaningful.
     converged:

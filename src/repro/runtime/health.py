@@ -80,8 +80,7 @@ class HealthTracker:
         self._group = group
         self._cap = float(utilization_cap)
         self._up = [True] * group.n
-        self._active: BladeServerGroup | None = group
-        self._active_indices: tuple[int, ...] = tuple(range(group.n))
+        self._rebuild()
 
     # -- state ----------------------------------------------------------------------
 
@@ -142,6 +141,14 @@ class HealthTracker:
 
     def _rebuild(self) -> None:
         self._active_indices = tuple(i for i, up in enumerate(self._up) if up)
+        servers = self._group.servers
+        self._fingerprint = (
+            self._group.rbar,
+            tuple(
+                (i, servers[i].size, servers[i].speed, servers[i].special_rate)
+                for i in self._active_indices
+            ),
+        )
         if not self._active_indices:
             self._active = None
         elif len(self._active_indices) == self._group.n:
@@ -195,16 +202,14 @@ class HealthTracker:
 
         Two health states with the same fingerprint pose the identical
         optimization instance, which is what the controller's LRU cache
-        keys on.
+        keys on.  It is ``(rbar, ((i, size, speed, special_rate), ...))``
+        over the up servers, built once per topology change (``mark_down``,
+        ``mark_up``, ``load_state``); between changes every call returns
+        the same tuple object, so reading it, and comparing it with an
+        earlier read, is O(1).  Hashing it is still O(number of up
+        servers).
         """
-        servers = self._group.servers
-        return (
-            self._group.rbar,
-            tuple(
-                (i, servers[i].size, servers[i].speed, servers[i].special_rate)
-                for i in self._active_indices
-            ),
-        )
+        return self._fingerprint
 
     def expand(self, active_rates: np.ndarray) -> np.ndarray:
         """Map an active-space rate/weight vector to full-group space.

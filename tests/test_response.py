@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import math
+import warnings
+
+import numpy as np
 import pytest
 
+from repro.core.erlang import erlang_c, p_zero
 from repro.core.exceptions import ParameterError, SaturationError
 from repro.core.mmm import MMmQueue
 from repro.core.response import (
     Discipline,
+    _log_shape,
     d2_generic_response_time_drho2,
     d_generic_response_time_drho,
     generic_response_time,
     generic_response_time_rho,
+    generic_response_time_vec,
     generic_waiting_time,
     special_waiting_time,
     waiting_factor,
@@ -205,3 +212,139 @@ class TestSecondDerivative:
         d_f = d2_generic_response_time_drho2(m, xbar, rho, rho_s, "fcfs")
         d_p = d2_generic_response_time_drho2(m, xbar, rho, rho_s, "priority")
         assert d_p == pytest.approx(d_f / (1.0 - rho_s), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Large blade counts and the vector T'_i assembly
+# ---------------------------------------------------------------------------
+
+RHOS = (0.0, 1e-9, 0.3, 0.9, 0.999)
+
+
+def _oracle_t(m, xbar, rho, rho_s, disc):
+    """``T'`` from Erlang-C: ``xbar (1 + C / (m (1 - rho)) [/(1 - rho'')])``."""
+    w = erlang_c(m, rho) / (m * (1.0 - rho))
+    if disc == "priority":
+        w /= 1.0 - rho_s
+    return xbar * (1.0 + w)
+
+
+def _servers(sizes, rho, share, rng):
+    """Arrays of servers at utilization ``rho``, ``share`` of it special."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    xbars = rng.uniform(0.5, 2.0, sizes.size)
+    total = rho * sizes / xbars
+    specials = share * total
+    return sizes, xbars, total - specials, specials
+
+
+def _scalar_t(sizes, xbars, rates, specials, disc):
+    return np.array(
+        [
+            generic_response_time(int(m), x, r, s, disc)
+            for m, x, r, s in zip(sizes, xbars, rates, specials)
+        ]
+    )
+
+
+class TestLargeServerSizes:
+    """The scalar ``T'`` no longer overflows from m ~ 700 (ROADMAP item 7)."""
+
+    @pytest.mark.parametrize("m", [1000, 5000])
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.74, 0.9, 0.999])
+    def test_waiting_factor_matches_erlang_c(self, m, rho):
+        # rho = 0.74 at m = 1000 is a subnormal p_0 under a finite shape
+        # factor; 0.9 and 0.999 overflowed the shape factor outright.
+        oracle = erlang_c(m, rho) / (m * (1.0 - rho))
+        assert waiting_factor(m, rho) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("m", [1000, 5000])
+    @pytest.mark.parametrize("disc", ["fcfs", "priority"])
+    def test_response_time_matches_oracle(self, m, disc):
+        xbar, rho, rho_s = 0.8, 0.999, 0.3
+        lam_s = rho_s * m / xbar
+        lam_g = rho * m / xbar - lam_s
+        got = generic_response_time(m, xbar, lam_g, lam_s, disc)
+        assert got == pytest.approx(_oracle_t(m, xbar, rho, rho_s, disc), rel=1e-11)
+
+    @pytest.mark.parametrize("m", [*range(1, 17), 300, 700])
+    @pytest.mark.parametrize("rho", [1e-9, 0.3, 0.9, 0.999])
+    def test_finite_values_keep_the_linear_space_form(self, m, rho):
+        # The log-space branch only takes over where the linear form
+        # overflows or p_0 is subnormal: every other value is unchanged.
+        linear = p_zero(m, rho) * math.exp(_log_shape(m, rho)) / (1.0 - rho) ** 2
+        assert waiting_factor(m, rho) == linear
+
+
+class TestVectorResponseTime:
+    @pytest.mark.parametrize("rho", RHOS)
+    @pytest.mark.parametrize("share", [0.0, 0.3])
+    @pytest.mark.parametrize("disc", ["fcfs", "priority"])
+    def test_matches_scalar_at_paper_sizes(self, rho, share, disc):
+        rng = np.random.default_rng(1)
+        args = _servers(np.arange(1, 17), rho, share, rng)
+        got = generic_response_time_vec(*args, disc)
+        np.testing.assert_allclose(got, _scalar_t(*args, disc), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("rho", RHOS)
+    @pytest.mark.parametrize("share", [0.0, 0.3])
+    @pytest.mark.parametrize("disc", ["fcfs", "priority"])
+    def test_matches_scalar_at_random_sizes(self, rho, share, disc):
+        rng = np.random.default_rng(2)
+        args = _servers(rng.integers(1, 601, 40), rho, share, rng)
+        got = generic_response_time_vec(*args, disc)
+        np.testing.assert_allclose(got, _scalar_t(*args, disc), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", [1000, 5000])
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("disc", ["fcfs", "priority"])
+    def test_large_sizes_match_erlang_c(self, m, rho, disc):
+        xbar, rho_s = 1.25, 0.3
+        lam_s = rho_s * m / xbar
+        lam_g = rho * m / xbar - lam_s
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = generic_response_time_vec(
+                np.array([m]), np.array([xbar]), np.array([lam_g]), np.array([lam_s]), disc
+            )
+        assert got[0] == pytest.approx(_oracle_t(m, xbar, rho, rho_s, disc), rel=1e-13)
+
+    def test_zero_load_is_exactly_the_service_time(self):
+        xbars = np.array([0.5, 0.8, 1.25])
+        zeros = np.zeros(3)
+        got = generic_response_time_vec(np.array([1, 7, 600]), xbars, zeros, zeros)
+        assert np.array_equal(got, xbars)
+
+    def test_priority_divides_waiting_by_special_headroom(self):
+        sizes, xbars = np.array([3, 9]), np.array([1.0, 0.5])
+        rates, specials = np.array([1.0, 8.0]), np.array([0.6, 3.0])
+        fcfs = generic_response_time_vec(sizes, xbars, rates, specials, "fcfs")
+        prio = generic_response_time_vec(sizes, xbars, rates, specials, "priority")
+        rho_s = specials * xbars / sizes
+        np.testing.assert_allclose(
+            prio / xbars - 1.0, (fcfs / xbars - 1.0) / (1.0 - rho_s), rtol=1e-14
+        )
+
+    def test_saturation_raises(self):
+        with pytest.raises(SaturationError) as excinfo:
+            generic_response_time_vec(
+                np.array([2, 2]), np.ones(2), np.array([0.5, 1.5]), np.array([0.0, 0.5])
+            )
+        assert excinfo.value.rho == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(np.nan, ParameterError), (-0.1, ParameterError), (np.inf, SaturationError)],
+    )
+    def test_bad_rates_raise_like_the_scalar_path(self, bad, error):
+        with pytest.raises(error):
+            generic_response_time(2, 1.0, bad, 0.5)
+        ok = np.array([0.5, 0.5])
+        with pytest.raises(error):
+            generic_response_time_vec(
+                np.array([2, 2]), np.ones(2), np.array([0.5, bad]), ok
+            )
+        with pytest.raises(error):
+            generic_response_time_vec(
+                np.array([2, 2]), np.ones(2), ok, np.array([bad, 0.5])
+            )

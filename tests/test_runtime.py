@@ -279,6 +279,43 @@ class TestHealthTracker:
         health.mark_up(2)
         assert health.fingerprint() == before
 
+    @staticmethod
+    def _fingerprint_from_scratch(health):
+        servers = health.group.servers
+        return (
+            health.group.rbar,
+            tuple(
+                (i, servers[i].size, servers[i].speed, servers[i].special_rate)
+                for i in health.active_indices
+            ),
+        )
+
+    def test_fingerprint_is_one_object_between_transitions(self, group):
+        health = HealthTracker(group)
+        assert health.fingerprint() is health.fingerprint()
+        health.mark_down(1)
+        down = health.fingerprint()
+        assert health.fingerprint() is down
+        assert not health.mark_down(1)  # no transition, no rebuild
+        assert health.fingerprint() is down
+
+    def test_fingerprint_tracks_every_transition(self, group):
+        health = HealthTracker(group)
+        assert health.fingerprint() == self._fingerprint_from_scratch(health)
+        health.mark_down(0)
+        assert health.fingerprint() == self._fingerprint_from_scratch(health)
+        health.mark_down(2)
+        assert health.fingerprint() == self._fingerprint_from_scratch(health)
+        health.mark_up(0)
+        assert health.fingerprint() == self._fingerprint_from_scratch(health)
+        restored = HealthTracker(group)
+        restored.load_state(health.state_dict())
+        assert restored.fingerprint() == health.fingerprint()
+        assert restored.fingerprint() == self._fingerprint_from_scratch(restored)
+        for i in range(group.n):
+            health.mark_down(i)
+        assert health.fingerprint() == (group.rbar, ())
+
     def test_expand_places_zeros_on_down_servers(self, group):
         health = HealthTracker(group)
         health.mark_down(1)
@@ -369,6 +406,18 @@ class TestResolveController:
         outcome = controller.resolve(lam)
         assert not outcome.cache_hit
         assert outcome.weights[0] == 0.0
+
+    def test_recovery_hits_the_cache_again(self, group):
+        health = HealthTracker(group)
+        controller = ResolveController(health)
+        lam = 0.4 * group.max_generic_rate
+        first = controller.resolve(lam)
+        health.mark_down(0)
+        assert not controller.resolve(lam).cache_hit
+        health.mark_up(0)
+        again = controller.resolve(lam)
+        assert again.cache_hit
+        assert again.result is first.result
 
     def test_over_capacity_degrades_instead_of_raising(self, group):
         health = HealthTracker(group, utilization_cap=0.9)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.exceptions import InfeasibleError, ParameterError
+from repro.core.exceptions import InfeasibleError, ParameterError, SaturationError
+from repro.core.response import generic_response_time
 from repro.core.server import BladeServer, BladeServerGroup
 
 
@@ -150,6 +151,25 @@ class TestGroupEvaluation:
         t = small_group.mean_response_time([0.0, 1.0, 1.0])
         per = small_group.per_server_response_times([0.0, 1.0, 1.0])
         assert t == pytest.approx((per[1] + per[2]) / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("disc", ["fcfs", "priority"])
+    def test_per_server_times_match_scalar_model(self, paper_group, disc):
+        rates = 0.6 * paper_group.spare_capacities
+        per = paper_group.per_server_response_times(rates, disc)
+        scalar = [
+            generic_response_time(int(m), x, r, s, disc)
+            for m, x, r, s in zip(
+                paper_group.sizes, paper_group.xbars, rates, paper_group.special_rates
+            )
+        ]
+        np.testing.assert_allclose(per, scalar, rtol=1e-14, atol=0)
+
+    def test_per_server_times_reject_bad_rates(self, small_group):
+        with pytest.raises(SaturationError):
+            small_group.per_server_response_times(small_group.spare_capacities)
+        for bad in (np.nan, -0.5):
+            with pytest.raises(ParameterError):
+                small_group.per_server_response_times([1.0, bad, 1.0])
 
     def test_all_zero_rates_rejected(self, small_group):
         with pytest.raises(ParameterError):

@@ -419,6 +419,36 @@ def _inner_newton(
     return np.clip(x, lb, ub), dg_out, sweeps
 
 
+def rate_ceilings(caps: np.ndarray) -> np.ndarray:
+    """Per-server rate ceilings: the spare capacities less the stability margin."""
+    return np.where(caps > 0.0, (1.0 - STABILITY_MARGIN) * caps, 0.0)
+
+
+def threshold_numerators(
+    ms: np.ndarray,
+    xbars: np.ndarray,
+    specials: np.ndarray,
+    caps: np.ndarray,
+    disc: Discipline,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``lambda' g_i(0)`` and ``lambda' g_i(cap_i)`` for every server.
+
+    The dual ascent parks server ``i`` when ``phi <= g_i(0)`` and pins
+    it when ``phi > g_i(cap_i)``.  The marginal is ``(T'_i + rho'_i
+    dT'_i/drho) / lambda'`` and only that last division involves the
+    rate, so these numerators are facts about the servers alone.  They
+    are evaluated at ``lambda' = 1`` (dividing by 1 is exact), and
+    :func:`dual_ascent` divides them by its own ``lambda'``, which gives
+    the thresholds a kernel pass at that rate gives, bit for bit.
+    """
+    zeros = np.zeros(ms.shape[0])
+    g0, _ = marginal_cost_and_slope_vec(ms, xbars, specials, zeros, 1.0, disc)
+    gcap, _ = marginal_cost_and_slope_vec(
+        ms, xbars, specials, rate_ceilings(caps), 1.0, disc
+    )
+    return g0, gcap
+
+
 def dual_ascent(
     ms: np.ndarray,
     xbars: np.ndarray,
@@ -428,31 +458,35 @@ def dual_ascent(
     disc: Discipline,
     tol: float,
     phi_hint: float | None,
+    thresholds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float, int, int]:
     """The damped-Newton dual ascent on raw per-server arrays.
 
     ``ms``, ``xbars``, ``specials`` and ``caps`` are the servers' sizes,
     mean service times, special-task rates and spare capacities; the
     caller has already checked that ``total_rate`` is feasible for
-    them.  Returns ``(rates, phi, iterations, inner_sweeps)`` with the
-    rates settled onto the budget.  :func:`solve_newton` runs it on a
-    whole group; the sharded coordinator runs it on the live shards'
-    members (:mod:`repro.shard.coordinator`).
+    them.  ``thresholds`` is :func:`threshold_numerators` of the same
+    servers, for a caller that solves them at many rates; ``None``
+    computes it (two batched kernel passes).  Returns ``(rates, phi,
+    iterations, inner_sweeps)`` with the rates settled onto the budget.
+    :func:`solve_newton` runs it on a whole group; the sharded
+    coordinator runs it on the live shards' members
+    (:mod:`repro.shard.coordinator`).
     """
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
     n = ms.shape[0]
-    hard_caps = np.where(caps > 0.0, (1.0 - STABILITY_MARGIN) * caps, 0.0)
+    hard_caps = rate_ceilings(caps)
     zeros = np.zeros(n)
 
-    # Both thresholds below are phi-independent, so one batched kernel
-    # evaluation each covers every outer iteration:
+    # Both thresholds below are phi-independent, so they cover every
+    # outer iteration:
     #   g0   — marginal at zero load; phi <= g0 parks the server,
     #   gcap — marginal at the stability boundary; phi > gcap pins it.
-    g0, _ = marginal_cost_and_slope_vec(ms, xbars, specials, zeros, total_rate, disc)
-    gcap, _ = marginal_cost_and_slope_vec(
-        ms, xbars, specials, hard_caps, total_rate, disc
-    )
+    if thresholds is None:
+        thresholds = threshold_numerators(ms, xbars, specials, caps, disc)
+    g0 = thresholds[0] / total_rate
+    gcap = thresholds[1] / total_rate
 
     budget_tol = tol * max(1.0, total_rate)
     inner_sweeps = 0
@@ -488,24 +522,32 @@ def dual_ascent(
         pinned = active & (gcap < phi)
         free = active & ~pinned
         rates = np.where(pinned, hard_caps, 0.0)
-        if free.any():
-            # Pad carried-over bounds by tol (the accuracy of the rates
-            # they came from).
-            lb = np.clip(np.where(free, lo - tol, 0.0), 0.0, hard_caps)
-            ub = np.where(free, np.minimum(hi + tol, hard_caps), 0.0)
-            lb = np.minimum(lb, ub)
-            x0 = np.where(free, prev_rates, 0.0)
+        slopes = np.zeros(n)
+        f = np.flatnonzero(free)
+        if f.size:
+            # Only the free servers have a root to find.  Pad carried-over
+            # bounds by tol (the accuracy of the rates they came from).
+            caps_f = hard_caps[f]
+            ub = np.minimum(hi[f] + tol, caps_f)
+            lb = np.minimum(np.clip(lo[f] - tol, 0.0, caps_f), ub)
             roots, dg, sweeps = _inner_newton(
-                ms, xbars, specials, total_rate, phi, disc, tol, x0, lb, ub
+                ms[f],
+                xbars[f],
+                specials[f],
+                total_rate,
+                phi,
+                disc,
+                tol,
+                prev_rates[f],
+                lb,
+                ub,
             )
             inner_sweeps += sweeps
             if sweep_hist is not None:
                 sweep_hist.observe(max(sweeps, 1))
-            rates = np.where(free, roots, rates)
+            rates[f] = roots
             with np.errstate(divide="ignore"):
-                slopes = np.where(free, 1.0 / dg, 0.0)
-        else:
-            slopes = zeros
+                slopes[f] = 1.0 / dg
         prev_rates = rates
         return rates, slopes
 

@@ -93,9 +93,18 @@ def atomic_write_json(
     )
 
 
-def _record_crc(seq: int, t: float, kind: str, data: Any) -> int:
-    canonical = json.dumps([seq, t, kind, data], separators=(",", ":"))
+#: Compact JSON encoder shared by the CRC input and the line.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _crc(seq: str, t: str, kind: str, data: str) -> int:
+    """CRC32 of ``[seq,t,kind,data]`` from its fields' compact encodings."""
+    canonical = f"[{seq},{t},{kind},{data}]"
     return zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF
+
+
+def _record_crc(seq: int, t: float, kind: str, data: Any) -> int:
+    return _crc(_encode(seq), _encode(t), _encode(kind), _encode(data))
 
 
 @dataclass(frozen=True)
@@ -108,14 +117,19 @@ class JournalRecord:
     data: dict[str, Any]
 
     def to_line(self) -> str:
-        payload = {
-            "seq": self.seq,
-            "t": self.t,
-            "kind": self.kind,
-            "data": self.data,
-            "crc": _record_crc(self.seq, self.t, self.kind, self.data),
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        """The record's JSONL line, each field encoded once.
+
+        Compact JSON of a list or an object is its items' compact
+        encodings joined by ``,`` (and ``:``), so the CRC input and the
+        line are both built from the same four substrings, byte for
+        byte what encoding the whole list and the whole object gives.
+        """
+        seq = _encode(self.seq)
+        t = _encode(self.t)
+        kind = _encode(self.kind)
+        data = _encode(self.data)
+        crc = _crc(seq, t, kind, data)
+        return f'{{"seq":{seq},"t":{t},"kind":{kind},"data":{data},"crc":{crc}}}'
 
     @staticmethod
     def from_line(line: str) -> "JournalRecord":

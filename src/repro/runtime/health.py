@@ -59,6 +59,24 @@ class CapacityPlan:
     degraded: bool
 
 
+class _Fingerprint(tuple):
+    """A tuple that hashes its items once.
+
+    The controller's LRU cache hashes the fingerprint on every lookup,
+    and a plain tuple rehashes its 4-tuples each time.  The hash is the
+    tuple's own, so a fingerprint and an equal plain tuple (a key
+    restored from a checkpoint) still find each other; JSON encodes it
+    as a list, like any tuple.
+    """
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+
 class HealthTracker:
     """Up/down state of a blade-server group, with shrink/restore.
 
@@ -142,12 +160,14 @@ class HealthTracker:
     def _rebuild(self) -> None:
         self._active_indices = tuple(i for i, up in enumerate(self._up) if up)
         servers = self._group.servers
-        self._fingerprint = (
-            self._group.rbar,
-            tuple(
-                (i, servers[i].size, servers[i].speed, servers[i].special_rate)
-                for i in self._active_indices
-            ),
+        self._fingerprint = _Fingerprint(
+            (
+                self._group.rbar,
+                tuple(
+                    (i, servers[i].size, servers[i].speed, servers[i].special_rate)
+                    for i in self._active_indices
+                ),
+            )
         )
         if not self._active_indices:
             self._active = None
@@ -206,8 +226,8 @@ class HealthTracker:
         over the up servers, built once per topology change (``mark_down``,
         ``mark_up``, ``load_state``); between changes every call returns
         the same tuple object, so reading it, and comparing it with an
-        earlier read, is O(1).  Hashing it is still O(number of up
-        servers).
+        earlier read, is O(1).  It caches its hash, so only the first
+        hash after a change is O(number of up servers).
         """
         return self._fingerprint
 

@@ -29,11 +29,13 @@ calls directly.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from ..core.bisection import DEFAULT_TOL, STABILITY_MARGIN
+from ..core.bisection import DEFAULT_TOL
 from ..core.exceptions import InfeasibleError, ParameterError
-from ..core.newton import dual_ascent
+from ..core.newton import dual_ascent, rate_ceilings, threshold_numerators
 from ..core.response import Discipline
 from ..core.result import LoadDistributionResult
 from ..core.server import BladeServerGroup
@@ -43,12 +45,79 @@ from .partition import ShardPlan, partition_group
 __all__ = ["ShardCoordinator", "solve_sharded"]
 
 
+class _Frame(NamedTuple):
+    """The live shards' servers as the dual ascent's input arrays.
+
+    ``cand`` are their global indices, in group order; ``thresholds``
+    is :func:`~repro.core.newton.threshold_numerators` over them and
+    ``capacity`` their summed rate ceilings.  Nothing here depends on
+    the rate, so one frame serves every solve under the same live mask.
+    """
+
+    cand: np.ndarray
+    ms: np.ndarray
+    xbars: np.ndarray
+    specials: np.ndarray
+    caps: np.ndarray
+    thresholds: tuple[np.ndarray, np.ndarray]
+    capacity: float
+
+
+def _frame(cand, ms, xbars, specials, caps, thresholds) -> _Frame:
+    """A :class:`_Frame` of these arrays, with their rate ceilings summed."""
+    capacity = float(rate_ceilings(caps).sum())
+    return _Frame(cand, ms, xbars, specials, caps, thresholds, capacity)
+
+
+def _candidate_frame(plan: ShardPlan, disc: Discipline, live: np.ndarray) -> _Frame:
+    """The frame of ``plan``'s live shards under ``disc``, cached on the plan.
+
+    The whole fleet's frame costs two kernel passes (the thresholds)
+    and is built once per plan and discipline; a masked frame is a
+    gather from it.  Every kernel output depends only on its own server,
+    so the gathered thresholds equal a pass over the candidates bit for
+    bit.  Only the latest masked frame is kept: a failover mask holds
+    until splice-back, and a plan lives as long as one run.
+    """
+    frames = plan._frames
+    full = frames.get(disc)
+    if full is None:
+        group = plan.group
+        arrays = (group.sizes, group.xbars, group.special_rates, group.spare_capacities)
+        full = _frame(
+            np.arange(group.n), *arrays, threshold_numerators(*arrays, disc)
+        )
+        frames[disc] = full
+    if live.all():
+        return full
+    key = (disc, live.tobytes())
+    frame = frames.get(key)
+    if frame is None:
+        for old in [k for k in frames if isinstance(k, tuple)]:
+            del frames[old]
+        # Failed-over shards contribute no candidates: the masked solve
+        # is the same program restricted to the surviving fleet.
+        cand = np.flatnonzero(live[plan.assignment])
+        g0, gcap = full.thresholds
+        frame = _frame(
+            cand,
+            full.ms[cand],
+            full.xbars[cand],
+            full.specials[cand],
+            full.caps[cand],
+            (g0[cand], gcap[cand]),
+        )
+        frames[key] = frame
+    return frame
+
+
 class ShardCoordinator:
     """One sharded solve: the live candidate frame plus the dual ascent.
 
-    Construction validates the live mask and gathers the live shards'
-    members (in group order); :meth:`solve` runs the dual ascent on
-    them (which also validates ``tol``) and scatters the rates back
+    Construction validates the live mask and looks up the live shards'
+    frame (their members, in group order, and the rate-free thresholds;
+    see :func:`_candidate_frame`); :meth:`solve` runs the dual ascent
+    on them (which also validates ``tol``) and scatters the rates back
     into the full group.
     """
 
@@ -78,23 +147,13 @@ class ShardCoordinator:
             if not self.live.any():
                 raise InfeasibleError("every shard is masked dead")
 
-        # Failed-over shards contribute no candidates: the masked solve
-        # is the same program restricted to the surviving fleet.
-        self.cand = np.flatnonzero(self.live[plan.assignment])
-        group = self.group
-        self.ms = group.sizes.astype(np.int64)[self.cand]
-        self.xbars = group.xbars.astype(float)[self.cand]
-        self.specials = group.special_rates.astype(float)[self.cand]
-        self.caps = group.spare_capacities[self.cand]
-        capacity = float(
-            np.where(self.caps > 0.0, (1.0 - STABILITY_MARGIN) * self.caps, 0.0).sum()
-        )
-        if capacity <= self.total_rate:
+        self.frame = _candidate_frame(plan, self.disc, self.live)
+        if self.frame.capacity <= self.total_rate:
             # The full group passed check_feasible above, so this only
             # fires when the live mask removed too much capacity — the
             # caller must shed first.
             raise InfeasibleError(
-                f"candidate capacity {capacity:.6g} cannot "
+                f"candidate capacity {self.frame.capacity:.6g} cannot "
                 f"carry total rate {self.total_rate:.6g} "
                 f"({int(self.live.sum())}/{plan.n_shards} shards live)"
             )
@@ -106,20 +165,22 @@ class ShardCoordinator:
         of an earlier solve; an out-of-band or non-finite hint falls
         back to the cold start, as in :func:`~repro.core.newton.solve_newton`.
         """
+        frame = self.frame
         rates, phi, iterations, inner_sweeps = dual_ascent(
-            self.ms,
-            self.xbars,
-            self.specials,
-            self.caps,
+            frame.ms,
+            frame.xbars,
+            frame.specials,
+            frame.caps,
             self.total_rate,
             self.disc,
             self.tol,
             phi_hint,
+            frame.thresholds,
         )
         # Dead shards' servers carry exactly zero.
         group = self.group
         full_rates = np.zeros(group.n)
-        full_rates[self.cand] = rates
+        full_rates[frame.cand] = rates
         loads = np.bincount(
             self.plan.assignment, weights=full_rates, minlength=self.plan.n_shards
         )
@@ -138,7 +199,7 @@ class ShardCoordinator:
             metadata={
                 "shards": self.plan.n_shards,
                 "strategy": self.plan.config.strategy,
-                "candidates": int(self.cand.size),
+                "candidates": int(frame.cand.size),
                 "shard_loads": [float(x) for x in loads],
                 "live_shards": [bool(x) for x in self.live],
                 "inner_sweeps": int(inner_sweeps),
@@ -188,7 +249,7 @@ def solve_sharded(
         n=group.n,
         shards=plan.n_shards,
         strategy=plan.config.strategy,
-        candidates=int(coordinator.cand.size),
+        candidates=int(coordinator.frame.cand.size),
     ) as span:
         result = coordinator.solve(phi_hint)
         span.note(

@@ -30,7 +30,8 @@ closed loop both take it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -134,18 +135,22 @@ class ShardPlan:
     group: BladeServerGroup
     config: ShardConfig
     shards: tuple[Shard, ...]
+    #: The coordinator's candidate frames (:mod:`repro.shard.coordinator`),
+    #: cached here so they live exactly as long as the plan.
+    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_shards(self) -> int:
         """Number of shards in the plan."""
         return len(self.shards)
 
-    @property
+    @cached_property
     def assignment(self) -> np.ndarray:
-        """Vector mapping each global server index to its shard id."""
+        """Read-only vector mapping each global server index to its shard id."""
         owner = np.empty(self.group.n, dtype=np.int64)
         for shard in self.shards:
             owner[list(shard.members)] = shard.index
+        owner.setflags(write=False)
         return owner
 
     def live_capacity(self, live: np.ndarray | None = None) -> float:

@@ -542,15 +542,15 @@ class GroupSimulation:
                     break
 
                 if ev.kind is EventType.END_OF_WARMUP:
-                    # Restart every integrator at the current state and drop
-                    # all per-task statistics collected so far.
+                    # Restart every integrator at the current time and drop
+                    # all per-task statistics collected so far.  busy_last
+                    # and system_last already hold every server's state:
+                    # record_state runs after each change to it.
                     measuring = True
                     window_start = now
                     last_t[:] = [now] * n
                     busy_area[:] = [0.0] * n
-                    busy_last[:] = [srv.busy for srv in servers]
                     system_area[:] = [0.0] * n
-                    system_last[:] = [srv.in_system for srv in servers]
                     continue
 
                 if ev.kind is EventType.CONTROL:

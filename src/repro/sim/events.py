@@ -12,8 +12,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..core.exceptions import SimulationError
 
@@ -40,18 +39,19 @@ class EventType(enum.Enum):
     TIMEOUT_CHECK = "timeout_check"
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+class Event(NamedTuple):
     """A scheduled simulation event.
 
-    Ordered by ``(time, seq)``; ``kind`` and ``payload`` are excluded
-    from the ordering so heterogeneous payloads never get compared.
+    Ordered as a tuple, so the heap compares events in C.  ``seq`` is
+    unique per queue, so two events always differ by ``(time, seq)``
+    and the comparison never reaches ``kind`` or ``payload``:
+    heterogeneous payloads never get compared.
     """
 
     time: float
     seq: int
-    kind: EventType = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    kind: EventType
+    payload: Any = None
 
 
 class EventQueue:

@@ -10,6 +10,8 @@ of escaping the runtime's ``_resolve``.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.runtime import (
     ResolveController,
     RuntimeConfig,
 )
+from repro.runtime.health import _Fingerprint
 
 
 @pytest.fixture
@@ -85,6 +88,49 @@ class TestCacheAcrossFingerprintChanges:
         restored = ctl.resolve(rate)
         assert restored.cache_hit
         assert np.allclose(restored.weights, first.weights)
+
+    def test_hits_survive_transitions_and_restores(self, group):
+        # The fingerprint caches its hash; a new fingerprint object for
+        # the same topology (mark_down then mark_up, load_state) and a
+        # plain-tuple key restored from JSON must still hit.
+        ctl, health = _controller(group, cache_size=8)
+        rate = 3.0
+        first = ctl.resolve(rate)
+        assert not first.cache_hit
+        assert ctl.resolve(rate).cache_hit
+        before = health.fingerprint()
+        health.mark_down(2)
+        assert not ctl.resolve(rate).cache_hit
+        health.mark_up(2)
+        assert health.fingerprint() is not before
+        assert ctl.resolve(rate).cache_hit
+        health.load_state(health.state_dict())
+        assert health.fingerprint() is not before
+        assert ctl.resolve(rate).cache_hit
+
+        state = json.loads(json.dumps(ctl.state_dict(lambda r: r.phi)))
+        restored, restored_health = _controller(group, cache_size=8)
+        restored.load_state(state, lambda phi: first.result)
+        assert restored.resolve(rate).cache_hit
+        assert hash(restored_health.fingerprint()) == hash(tuple(before))
+
+    def test_fingerprint_hashes_its_items_once(self):
+        calls = []
+
+        class Item:
+            def __hash__(self):
+                calls.append(1)
+                return 7
+
+        fp = _Fingerprint((1.0, (Item(),)))
+        assert hash(fp) == hash(tuple(fp))
+        assert len(calls) == 2  # once for fp, once for the plain copy
+        for _ in range(5):
+            hash(fp)
+        assert len(calls) == 2
+        assert json.dumps(_Fingerprint((1.0, ((0, 2, 1.5, 0.0),)))) == (
+            "[1.0, [[0, 2, 1.5, 0.0]]]"
+        )
 
     def test_backend_override_is_part_of_the_key(self, group):
         ctl, _ = _controller(group, cache_size=8)

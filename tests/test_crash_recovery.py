@@ -21,6 +21,7 @@ import dataclasses
 import json
 import os
 import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.recovery import (
     JOURNAL_NAME,
     SCHEMA_VERSION,
     CheckpointCodec,
+    JournalRecord,
     JournalWriter,
     RecoveryConfig,
     atomic_write_json,
@@ -115,6 +117,44 @@ class TestJournal:
         assert scan.last_seq == 4
         assert [r.data["dest"] for r in scan.records] == [0, 1, 0, 1, 0]
         assert scan.valid_bytes == os.path.getsize(path)
+
+    @staticmethod
+    def _two_dumps_line(record):
+        """A record's line as it was written when data was encoded twice."""
+        canonical = json.dumps(
+            [record.seq, record.t, record.kind, record.data], separators=(",", ":")
+        )
+        payload = {
+            "seq": record.seq,
+            "t": record.t,
+            "kind": record.kind,
+            "data": record.data,
+            "crc": zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF,
+        }
+        return json.dumps(payload, separators=(",", ":"))
+
+    @pytest.mark.parametrize(
+        "t, kind, data",
+        [
+            (0.1, "route", {"dest": 3}),
+            (1e-320, "resolve", {"rate": 0.1, "phi": 2**53 + 1, "x": 1e-320}),
+            (float(2**53 + 1), "breaker", {"nested": {"a": [1, 2.5, {"b": None}]}}),
+            (7.25, "route", {"list": [0.1, -0.0, 1e308, True, False, None]}),
+            (3.0, "health-ünïcode", {"note": "héllo \u2603 \U0001f600 \"q\" \\"}),
+            (4.5, "route", {"\u00e9t\u00e9": "\n\t", "1": {}}),
+            (5.0, "signal", {}),
+            (6.0, "nonfinite", {"nan": float("nan"), "inf": float("inf")}),
+        ],
+    )
+    def test_one_encode_lines_match_two_dumps_byte_for_byte(self, t, kind, data):
+        record = JournalRecord(seq=2**40 + 17, t=t, kind=kind, data=data)
+        line = record.to_line()
+        assert line == self._two_dumps_line(record)
+        back = JournalRecord.from_line(line)
+        assert back.to_line() == line
+        assert (back.seq, back.kind) == (record.seq, record.kind)
+        assert back.t == record.t
+        assert json.dumps(back.data) == json.dumps(record.data)
 
     def test_missing_file_scans_empty(self, tmp_path):
         scan = read_journal(str(tmp_path / "nope.jsonl"))

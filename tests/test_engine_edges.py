@@ -37,6 +37,41 @@ class TestWarmupSemantics:
         res = simulate_group(g, 1.0, [1.0], horizon=1_000.0, warmup=0.0, seed=2)
         assert res.generic_completed > 0
 
+    def test_warmup_keeps_busy_servers_state_bit_for_bit(self):
+        # The warm-up falls while every server has busy blades: the
+        # integrators restart from the state record_state kept, and the
+        # seeded result stays what it was when the engine re-read every
+        # server's state at the warm-up boundary.
+        g = BladeServerGroup.with_special_fraction(
+            sizes=[2, 4, 6, 8], speeds=[1.6, 1.4, 1.2, 1.0], fraction=0.3
+        )
+        weights = g.spare_capacities / g.spare_capacities.sum()
+        config = SimulationConfig(
+            total_generic_rate=0.85 * g.max_generic_rate,
+            fractions=tuple(float(x) for x in weights),
+            horizon=120.0,
+            warmup=30.0,
+            seed=11,
+        )
+        busy = []
+        controls = [
+            (30.0, lambda sim, now: busy.append([s.busy for s in sim._servers]))
+        ]
+        res = GroupSimulation(g, config, controls=controls).run()
+        assert busy == [[2, 3, 2, 8]]
+        assert [x.hex() for x in res.utilizations] == [
+            "0x1.f6320366640e5p-1",
+            "0x1.ccd7c29bafcdcp-1",
+            "0x1.db87cc208fb93p-1",
+            "0x1.d40f11ed96f55p-1",
+        ]
+        assert [x.hex() for x in res.mean_in_system] == [
+            "0x1.4656a0de8d9d6p+3",
+            "0x1.01c5766cdb7c4p+3",
+            "0x1.4bb64bd0b8bb7p+3",
+            "0x1.1609307c51935p+4",
+        ]
+
     def test_no_completions_in_window_raises(self):
         # A horizon shorter than the first arrival leaves zero samples.
         g = BladeServerGroup.from_arrays([1], [1.0])

@@ -692,3 +692,129 @@ class TestLiveMaskedSolve:
                 flat.mean_response_time
             )
             assert rel <= 1e-9, (trial, rel)
+
+
+class TestRebalanceFrame:
+    """A rebalance solves from the plan's cached frame, bit for bit."""
+
+    @staticmethod
+    def _fleet(n: int) -> BladeServerGroup:
+        # fleet-sharded's shape, with a special stream on every fifth
+        # server so the priority discipline differs from FCFS.
+        return BladeServerGroup(
+            [
+                BladeServer(
+                    size=1 + i % 16,
+                    speed=0.6 + 0.01 * (i % 120),
+                    special_rate=0.1 * (i % 5 == 0),
+                )
+                for i in range(n)
+            ],
+            rbar=1.0,
+        )
+
+    @staticmethod
+    def _assert_kkt(g, result, lam, live_servers, discipline):
+        # The optimum's certificate, from the scalar marginals: parked
+        # servers have g_i(0) >= phi, loaded ones below their ceiling
+        # have g_i = phi.
+        from repro.core.bisection import STABILITY_MARGIN
+        from repro.core.objective import marginal_cost
+
+        phi = result.phi
+        for i in live_servers:
+            srv = g.servers[i]
+            rate = float(result.generic_rates[i])
+            cost = marginal_cost(
+                srv.size, srv.xbar(g.rbar), srv.special_rate, rate, lam, discipline
+            )
+            if rate == 0.0:
+                assert cost >= phi * (1.0 - 1e-12), i
+            elif rate < (1.0 - STABILITY_MARGIN) * g.spare_capacities[i]:
+                assert cost == pytest.approx(phi, rel=1e-9), i
+
+    @pytest.mark.parametrize("discipline", ["fcfs", "priority"])
+    def test_rebalances_match_fresh_solves_without_fleet_passes(
+        self, monkeypatch, discipline
+    ):
+        from repro.core import newton
+        from repro.runtime.loop import LoadDistributionRuntime
+
+        g = self._fleet(2_000)
+        plan = partition_group(g, ShardConfig(shards=8))
+        assert plan.assignment is plan.assignment
+        assert not plan.assignment.flags.writeable
+        lam0 = 6.0
+        bootstrap = solve_sharded(g, lam0, discipline, plan=plan)
+        loads = np.asarray(bootstrap.metadata["shard_loads"])
+        config = RuntimeConfig(discipline=discipline)
+        runtimes = [
+            LoadDistributionRuntime(s.group, float(loads[s.index]), config)
+            for s in plan.shards
+        ]
+        calls = []
+
+        def recording_solve(*args, **kwargs):
+            result = _default_coordinator_solve(*args, **kwargs)
+            calls.append((args[1], kwargs, result))
+            return result
+
+        dispatcher = ShardedDispatcher(
+            plan,
+            runtimes,
+            loads,
+            np.random.default_rng(0),
+            bootstrap.phi * lam0,
+            solve_fn=recording_solve,
+        )
+        readings = iter([9.0, 8.0, 7.0, 7.5])
+
+        class StubRateView:
+            def estimate(self, now):
+                return next(readings)
+
+        dispatcher._rate_view = StubRateView()
+        sizes = []
+        kernel = newton.marginal_cost_and_slope_vec
+
+        def recording_kernel(ms, *args):
+            sizes.append(ms.shape[0])
+            return kernel(ms, *args)
+
+        monkeypatch.setattr(newton, "marginal_cost_and_slope_vec", recording_kernel)
+        dead3 = np.ones(8, dtype=bool)
+        dead3[3] = False
+        dead5 = np.ones(8, dtype=bool)
+        dead5[5] = False
+        # All live, a failover mask, all live at a new rate, and a
+        # second mask with as many candidates as the first.
+        for step, live in enumerate([None, dead3, None, dead5]):
+            sizes.clear()
+            dispatcher.rebalance(float(step), live=live)
+            lam, kwargs, result = calls[-1]
+            alive = np.ones(g.n, dtype=bool) if live is None else live[plan.assignment]
+            survivors = np.flatnonzero(alive)
+            assert sizes and g.n not in sizes and survivors.size not in sizes, step
+
+            fresh = solve_sharded(
+                g,
+                lam,
+                discipline,
+                phi_hint=kwargs["phi_hint"],
+                plan=partition_group(g, plan.config),
+                live=live,
+            )
+            assert np.array_equal(result.generic_rates, fresh.generic_rates), step
+            assert result.phi == fresh.phi, step
+            assert result.metadata["shard_loads"] == fresh.metadata["shard_loads"]
+            fresh_loads = np.asarray(fresh.metadata["shard_loads"])
+            np.testing.assert_array_equal(
+                dispatcher.shares, fresh_loads / fresh_loads.sum()
+            )
+
+            # The survivors' flat solve shares no cached frame.
+            subgroup = BladeServerGroup((g.servers[i] for i in survivors), rbar=g.rbar)
+            flat = solve_newton(subgroup, lam, discipline, phi_hint=kwargs["phi_hint"])
+            assert np.array_equal(result.generic_rates[survivors], flat.generic_rates)
+            assert result.phi == flat.phi, step
+            self._assert_kkt(g, result, lam, survivors, discipline)

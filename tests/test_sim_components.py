@@ -72,6 +72,30 @@ class TestEventQueue:
         assert q.pop().payload == "first"
         assert q.pop().payload == "second"
 
+    def test_simultaneous_unorderable_payloads_pop_in_insertion_order(self):
+        # Dicts and tasks do not support "<": the ordering must settle on
+        # (time, seq) and never compare payloads.
+        q = EventQueue()
+        tasks = [
+            SimTask(
+                task_id=k,
+                task_class=cls,
+                arrival_time=0.0,
+                requirement=1.0,
+                server_index=k,
+            )
+            for k, cls in enumerate((TaskClass.GENERIC, TaskClass.SPECIAL))
+        ]
+        payloads = [{"b": 1}, tasks[0], {"a": 2}, tasks[1], None]
+        for payload in payloads:
+            q.schedule(1.0, EventType.DEPARTURE, payload=payload)
+        q.schedule(0.5, EventType.CONTROL, payload={"first": True})
+        assert q.pop().payload == {"first": True}
+        popped = [q.pop() for _ in payloads]
+        assert [ev.payload for ev in popped] == payloads
+        assert all(a.payload is b for a, b in zip(popped, payloads))
+        assert [ev.seq for ev in popped] == sorted(ev.seq for ev in popped)
+
     def test_clock_advances(self):
         q = EventQueue()
         q.schedule(5.0, EventType.END_OF_RUN)

@@ -681,7 +681,7 @@ class ResilienceSupervisor:
             violations.append("positive routing weight on a down server")
         if total > 0.0:
             active = self.health.active_group()
-            idx = list(self.health.active_indices)
+            idx = self.health.active_index_array
             rates = outcome.solved_rate * (w[idx] / total)
             rho = active.utilizations(rates)
             if np.any(rho > self.config.rho_cap):

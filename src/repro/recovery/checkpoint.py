@@ -286,9 +286,11 @@ class CheckpointCodec:
         runtime._now = float(snapshot["time"])
         runtime.estimator.load_state(snapshot["estimator"])
         runtime.drift.load_state(snapshot["drift"])
+        # Health first: the controller rebinds restored cache keys to
+        # the live fingerprint.
+        runtime.health.load_state(snapshot["health"])
         runtime.controller.load_state(snapshot["controller"], dec)
         runtime.supervisor.load_state(snapshot["supervisor"], dec)
-        runtime.health.load_state(snapshot["health"])
 
         state = snapshot["runtime"]
         runtime._last_resolve = float(state["last_resolve"])

@@ -125,7 +125,13 @@ class HealthTracker:
     @property
     def active_indices(self) -> tuple[int, ...]:
         """Full-group indices of the up servers, in order."""
-        return self._active_indices
+        return tuple(self._active_array.tolist())
+
+    @property
+    def active_index_array(self) -> np.ndarray:
+        """:attr:`active_indices` as a read-only integer array, built once
+        per topology change, for scattering and gathering."""
+        return self._active_array
 
     def is_up(self, index: int) -> bool:
         """Whether server ``index`` is up."""
@@ -158,24 +164,26 @@ class HealthTracker:
             )
 
     def _rebuild(self) -> None:
-        self._active_indices = tuple(i for i, up in enumerate(self._up) if up)
+        self._active_array = np.flatnonzero(self._up)
+        self._active_array.setflags(write=False)
+        active = self._active_array.tolist()
         servers = self._group.servers
         self._fingerprint = _Fingerprint(
             (
                 self._group.rbar,
                 tuple(
                     (i, servers[i].size, servers[i].speed, servers[i].special_rate)
-                    for i in self._active_indices
+                    for i in active
                 ),
             )
         )
-        if not self._active_indices:
+        if not active:
             self._active = None
-        elif len(self._active_indices) == self._group.n:
+        elif len(active) == self._group.n:
             self._active = self._group
         else:
             self._active = BladeServerGroup(
-                (self._group.servers[i] for i in self._active_indices),
+                (servers[i] for i in active),
                 rbar=self._group.rbar,
             )
 
@@ -238,13 +246,13 @@ class HealthTracker:
         expanded vector starves them.
         """
         rates = np.asarray(active_rates, dtype=float)
-        if rates.shape != (len(self._active_indices),):
+        if rates.shape != self._active_array.shape:
             raise ParameterError(
-                f"expected {len(self._active_indices)} active rates, "
+                f"expected {self._active_array.size} active rates, "
                 f"got shape {rates.shape}"
             )
         full = np.zeros(self._group.n)
-        full[list(self._active_indices)] = rates
+        full[self._active_array] = rates
         return full
 
     # -- degradation planning -------------------------------------------------------------

@@ -138,6 +138,7 @@ def restore_runtime(
     initial_rate: float,
     fault_plan=None,
     directory: str | None = None,
+    initial_result=None,
 ):
     """Rebuild a runtime from its recovery directory.
 
@@ -151,6 +152,10 @@ def restore_runtime(
     directory:
         Recovery directory override; defaults to
         ``config.recovery.directory``.
+    initial_result:
+        The seed the crashed runtime was constructed with, if any: it
+        fixes the controller's quantization grid, so the restored cache
+        keys are the ones live resolves compute.
 
     Returns
     -------
@@ -176,7 +181,12 @@ def restore_runtime(
         generation, path, snapshot, skipped = load_latest_checkpoint(where)
 
         runtime = LoadDistributionRuntime(
-            group, initial_rate, config, fault_plan=fault_plan, _restore=True
+            group,
+            initial_rate,
+            config,
+            fault_plan=fault_plan,
+            initial_result=initial_result,
+            _restore=True,
         )
         codec = CheckpointCodec()
         codec.restore(runtime, snapshot, path=path)

@@ -48,7 +48,7 @@ from ..core.exceptions import ClusterDownError, ParameterError
 from ..core.result import LoadDistributionResult
 from ..core.server import BladeServerGroup
 from ..obs import ConfigBase, get_obs
-from ..runtime.controller import ResolveController, ResolveOutcome, _deep_tuple
+from ..runtime.controller import ResolveController, ResolveOutcome
 from ..runtime.health import HealthTracker
 from ..runtime.metrics import RuntimeMetrics
 
@@ -481,14 +481,15 @@ class ResilienceSupervisor:
 
     # -- durable state -----------------------------------------------------------------
 
-    def state_dict(self, encode_result) -> dict:
+    def state_dict(self, encode_result, encode_weights) -> dict:
         """Snapshot the breaker and the pinned last-known-good split.
 
-        ``encode_result`` serializes a
-        :class:`~repro.core.result.LoadDistributionResult` to a
-        JSON-safe dict (owned by the checkpoint codec).  The circuit
-        *gauge* string lives in ``metrics.circuit_state`` and travels
-        with the metrics snapshot.
+        ``encode_result`` and ``encode_weights`` map a
+        :class:`~repro.core.result.LoadDistributionResult` and a weight
+        vector to JSON-safe values (the checkpoint codec owns their
+        serialization and may share one encoding between owners).  The
+        circuit *gauge* string lives in ``metrics.circuit_state`` and
+        travels with the metrics snapshot.
         """
         pin = self._last_good
         return {
@@ -496,7 +497,7 @@ class ResilienceSupervisor:
             "last_good": None
             if pin is None
             else {
-                "weights": [float(w) for w in pin.weights],
+                "weights": encode_weights(pin.weights),
                 "result": None if pin.result is None else encode_result(pin.result),
                 "shed_fraction": pin.shed_fraction,
                 "solved_rate": pin.solved_rate,
@@ -505,7 +506,7 @@ class ResilienceSupervisor:
             },
         }
 
-    def load_state(self, state: dict, decode_result) -> None:
+    def load_state(self, state: dict, decode_result, decode_weights) -> None:
         """Restore a :meth:`state_dict` snapshot.
 
         A restored *open* breaker keeps serving the restored pin until
@@ -520,11 +521,11 @@ class ResilienceSupervisor:
         else:
             result = pin["result"]
             self._last_good = _PinnedSplit(
-                weights=np.asarray(pin["weights"], dtype=float),
+                weights=decode_weights(pin["weights"]),
                 result=None if result is None else decode_result(result),
                 shed_fraction=float(pin["shed_fraction"]),
                 solved_rate=float(pin["solved_rate"]),
-                fingerprint=_deep_tuple(pin["fingerprint"]),
+                fingerprint=tuple(pin["fingerprint"]),
                 pinned_at=float(pin["pinned_at"]),
             )
 

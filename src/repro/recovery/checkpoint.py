@@ -23,6 +23,8 @@ that arrival twice.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from dataclasses import asdict, dataclass
 
@@ -34,7 +36,7 @@ from ..core.result import LoadDistributionResult
 from ..core.server import BladeServerGroup
 from ..obs import ConfigBase
 from ..sim.rng import generator_state, set_generator_state
-from .journal import JOURNAL_NAME, JournalWriter, atomic_write_json
+from .journal import JOURNAL_NAME, JournalWriter, atomic_write_text
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -59,7 +61,12 @@ __all__ = [
 #: v5: RuntimeConfig kept only the caller-set knobs (the persisted
 #: config dict shrank) and the supervisor section is always present.
 #: Journals are unchanged.
-SCHEMA_VERSION = 5
+#: v6: a normal form that writes each fact once.  Each distinct result
+#: and weight vector sits once in the top-level ``results`` and
+#: ``weights`` tables and is referred to by index; health fingerprints
+#: and the health section are down-sets; ``group`` is a digest.
+#: Journals are unchanged.
+SCHEMA_VERSION = 6
 
 _CHECKPOINT_PREFIX = "checkpoint-"
 _CHECKPOINT_SUFFIX = ".json"
@@ -128,6 +135,22 @@ def _json_safe(value):
     return value
 
 
+def _interner(table: list, encode):
+    """``ref(obj)``: the index of ``obj`` in ``table``, appending
+    ``encode(obj)`` the first time an object is seen (keyed by identity,
+    so equal but distinct objects stay distinct)."""
+    index: dict[int, int] = {}
+
+    def ref(obj) -> int:
+        key = id(obj)
+        if key not in index:
+            index[key] = len(table)
+            table.append(encode(obj))
+        return index[key]
+
+    return ref
+
+
 def checkpoint_path(directory: str, generation: int) -> str:
     """File path of checkpoint ``generation`` inside ``directory``."""
     return os.path.join(
@@ -163,15 +186,13 @@ class CheckpointCodec:
         """JSON-safe dict form of a solver result (lossless for floats;
         metadata arrays come back as lists)."""
         return {
-            "generic_rates": [float(r) for r in result.generic_rates],
+            "generic_rates": result.generic_rates.tolist(),
             "mean_response_time": result.mean_response_time,
             "phi": result.phi,
             "discipline": result.discipline.value,
             "method": result.method,
-            "utilizations": [float(u) for u in result.utilizations],
-            "per_server_response_times": [
-                float(t) for t in result.per_server_response_times
-            ],
+            "utilizations": result.utilizations.tolist(),
+            "per_server_response_times": result.per_server_response_times.tolist(),
             "iterations": int(result.iterations),
             "converged": bool(result.converged),
             "metadata": _json_safe(result.metadata),
@@ -196,13 +217,17 @@ class CheckpointCodec:
         )
 
     @staticmethod
-    def _group_topology(group: BladeServerGroup) -> dict:
-        return {
-            "rbar": group.rbar,
-            "servers": [
-                [srv.size, srv.speed, srv.special_rate] for srv in group.servers
-            ],
-        }
+    def _group_digest(group: BladeServerGroup) -> dict:
+        """``n``, ``rbar`` and a SHA-256 of the server parameter arrays'
+        bytes: equal exactly when the groups are."""
+        digest = hashlib.sha256()
+        for array, dtype in (
+            (group.sizes, "<i8"),
+            (group.speeds, "<f8"),
+            (group.special_rates, "<f8"),
+        ):
+            digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+        return {"n": group.n, "rbar": group.rbar, "sha256": digest.hexdigest()}
 
     # -- full-state encode ---------------------------------------------------------
 
@@ -210,19 +235,24 @@ class CheckpointCodec:
         """Snapshot ``runtime`` as of the journal position ``journal_seq``.
 
         Must only be called at a safe point (see the module docstring).
+        Each distinct result and weight vector is encoded once, into the
+        ``results`` and ``weights`` tables; its owners store its index.
         """
-        enc = self.encode_result
+        results: list = []
+        weights: list = []
+        result_ref = _interner(results, self.encode_result)
+        weights_ref = _interner(weights, np.ndarray.tolist)
         router = runtime._router
         snapshot = {
             "schema": SCHEMA_VERSION,
             "time": runtime._now,
             "journal_seq": journal_seq,
             "config": runtime.config.to_dict(),
-            "group": self._group_topology(runtime.health.group),
+            "group": self._group_digest(runtime.health.group),
             "estimator": runtime.estimator.state_dict(),
             "drift": runtime.drift.state_dict(),
-            "controller": runtime.controller.state_dict(enc),
-            "supervisor": runtime.supervisor.state_dict(enc),
+            "controller": runtime.controller.state_dict(result_ref),
+            "supervisor": runtime.supervisor.state_dict(result_ref, weights_ref),
             "health": runtime.health.state_dict(),
             "router": None if router is None else router.state_dict(),
             "runtime": {
@@ -230,8 +260,10 @@ class CheckpointCodec:
                 "shed_fraction": runtime._shed_fraction,
                 "weights": None
                 if runtime._weights is None
-                else [float(w) for w in runtime._weights],
-                "result": None if runtime._result is None else enc(runtime._result),
+                else weights_ref(runtime._weights),
+                "result": None
+                if runtime._result is None
+                else result_ref(runtime._result),
                 "resolve_log": [asdict(ev) for ev in runtime.resolve_log],
                 "inflight": [int(c) for c in runtime._inflight],
             },
@@ -246,6 +278,8 @@ class CheckpointCodec:
             "fault_plan": None
             if runtime._fault_plan is None
             else runtime._fault_plan.state_dict(),
+            "results": results,
+            "weights": weights,
         }
         return snapshot
 
@@ -267,11 +301,10 @@ class CheckpointCodec:
                 path=path,
             )
         persisted_group = snapshot["group"]
-        live_group = self._group_topology(runtime.health.group)
-        if persisted_group != live_group:
+        if persisted_group != self._group_digest(runtime.health.group):
             raise RecoveryError(
                 "checkpoint was taken for a different server group "
-                f"({len(persisted_group['servers'])} servers, "
+                f"({persisted_group['n']} servers, "
                 f"rbar={persisted_group['rbar']!r})",
                 path=path,
             )
@@ -282,25 +315,26 @@ class CheckpointCodec:
                 path=path,
             )
 
-        dec = self.decode_result
+        # Decode each table entry once: owners that shared a result or
+        # a weight vector share it again.
+        results = [self.decode_result(r) for r in snapshot["results"]]
+        weights = [np.asarray(w, dtype=float) for w in snapshot["weights"]]
         runtime._now = float(snapshot["time"])
         runtime.estimator.load_state(snapshot["estimator"])
         runtime.drift.load_state(snapshot["drift"])
-        # Health first: the controller rebinds restored cache keys to
-        # the live fingerprint.
         runtime.health.load_state(snapshot["health"])
-        runtime.controller.load_state(snapshot["controller"], dec)
-        runtime.supervisor.load_state(snapshot["supervisor"], dec)
+        runtime.controller.load_state(snapshot["controller"], results.__getitem__)
+        runtime.supervisor.load_state(
+            snapshot["supervisor"], results.__getitem__, weights.__getitem__
+        )
 
         state = snapshot["runtime"]
         runtime._last_resolve = float(state["last_resolve"])
         runtime._shed_fraction = float(state["shed_fraction"])
         runtime._weights = (
-            None
-            if state["weights"] is None
-            else np.asarray(state["weights"], dtype=float)
+            None if state["weights"] is None else weights[state["weights"]]
         )
-        runtime._result = None if state["result"] is None else dec(state["result"])
+        runtime._result = None if state["result"] is None else results[state["result"]]
         from ..runtime.loop import ResolveEvent
 
         runtime.resolve_log = [ResolveEvent(**ev) for ev in state["resolve_log"]]
@@ -488,7 +522,7 @@ class RecoveryManager:
         """Write one checkpoint generation atomically; prune old ones."""
         snapshot = self.codec.encode(self.runtime, journal_seq=self._writer.last_seq)
         path = checkpoint_path(self.directory, self._generation)
-        atomic_write_json(path, snapshot, indent=None)
+        atomic_write_text(path, json.dumps(snapshot, separators=(",", ":")) + "\n")
         self._generation += 1
         self._decisions_since_checkpoint = 0
         self._prune()

@@ -343,7 +343,7 @@ class ResolveController:
         """Snapshot the warm-start anchor and the LRU cache.
 
         ``encode_result`` maps a :class:`LoadDistributionResult` to a
-        JSON-safe dict (the checkpoint codec owns result serialization
+        JSON-safe value (the checkpoint codec owns result serialization
         so this module stays persistence-agnostic).  Cache entries are
         emitted in LRU order — oldest first — so a restore reproduces
         the exact eviction order.
@@ -360,32 +360,15 @@ class ResolveController:
     def load_state(self, state: dict, decode_result) -> None:
         """Restore a :meth:`state_dict` snapshot.
 
-        Keys arrive as (possibly nested) lists after a JSON round trip;
-        they are re-tuplified here so lookups against freshly computed
-        ``(fingerprint, rate, discipline, backend)`` keys hit.  A
-        restored fingerprint equal to the health tracker's current one
-        is replaced by that object, so a hit compares fingerprints by
-        identity instead of item by item; restore the health state
-        first.
+        Keys arrive as lists after a JSON round trip; they are
+        re-tuplified here so lookups against freshly computed
+        ``(fingerprint, rate, discipline, backend)`` keys hit.
         """
-        live = self._health.fingerprint()
-
-        def rebind(fp):
-            fp = _deep_tuple(fp)
-            return live if fp == live else fp
-
         hint = state["phi_hint"]
         self._phi_hint = None if hint is None else float(hint)
         fp = state["phi_fingerprint"]
-        self._phi_fingerprint = None if fp is None else rebind(fp)
+        self._phi_fingerprint = None if fp is None else tuple(fp)
         self._cache = OrderedDict(
-            ((rebind(key[0]), *_deep_tuple(key[1:])), decode_result(encoded))
-            for key, encoded in state["cache"]
+            ((tuple(down), rate, discipline, backend), decode_result(encoded))
+            for (down, rate, discipline, backend), encoded in state["cache"]
         )
-
-
-def _deep_tuple(value):
-    """Recursively convert lists back into tuples (JSON inverse)."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_deep_tuple(v) for v in value)
-    return value

@@ -59,24 +59,6 @@ class CapacityPlan:
     degraded: bool
 
 
-class _Fingerprint(tuple):
-    """A tuple that hashes its items once.
-
-    The controller's LRU cache hashes the fingerprint on every lookup,
-    and a plain tuple rehashes its 4-tuples each time.  The hash is the
-    tuple's own, so a fingerprint and an equal plain tuple (a key
-    restored from a checkpoint) still find each other; JSON encodes it
-    as a list, like any tuple.
-    """
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = tuple.__hash__(self)
-            return self._hash
-
-
 class HealthTracker:
     """Up/down state of a blade-server group, with shrink/restore.
 
@@ -164,40 +146,31 @@ class HealthTracker:
             )
 
     def _rebuild(self) -> None:
-        self._active_array = np.flatnonzero(self._up)
+        up = np.array(self._up, dtype=bool)
+        self._active_array = np.flatnonzero(up)
         self._active_array.setflags(write=False)
-        active = self._active_array.tolist()
-        servers = self._group.servers
-        self._fingerprint = _Fingerprint(
-            (
-                self._group.rbar,
-                tuple(
-                    (i, servers[i].size, servers[i].speed, servers[i].special_rate)
-                    for i in active
-                ),
-            )
-        )
-        if not active:
+        self._down = tuple(np.flatnonzero(~up).tolist())
+        if not self._active_array.size:
             self._active = None
-        elif len(active) == self._group.n:
+        elif not self._down:
             self._active = self._group
         else:
+            servers = self._group.servers
             self._active = BladeServerGroup(
-                (servers[i] for i in active),
+                (servers[i] for i in self._active_array.tolist()),
                 rbar=self._group.rbar,
             )
 
     def state_dict(self) -> dict:
-        """JSON-safe snapshot of the up/down vector."""
-        return {"up": list(self._up)}
+        """JSON-safe snapshot: the sorted indices of the down servers."""
+        return {"down": list(self._down)}
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (rebuilds the subgroup)."""
-        up = [bool(u) for u in state["up"]]
-        if len(up) != self._group.n:
-            raise ParameterError(
-                f"health state covers {len(up)} servers, group has {self._group.n}"
-            )
+        up = [True] * self._group.n
+        for index in state["down"]:
+            self._check_index(index)
+            up[index] = False
         self._up = up
         self._rebuild()
 
@@ -225,19 +198,18 @@ class HealthTracker:
             )
         return self._active
 
-    def fingerprint(self) -> tuple:
+    def fingerprint(self) -> tuple[int, ...]:
         """Hashable identity of the active configuration.
 
         Two health states with the same fingerprint pose the identical
         optimization instance, which is what the controller's LRU cache
-        keys on.  It is ``(rbar, ((i, size, speed, special_rate), ...))``
-        over the up servers, built once per topology change (``mark_down``,
-        ``mark_up``, ``load_state``); between changes every call returns
-        the same tuple object, so reading it, and comparing it with an
-        earlier read, is O(1).  It caches its hash, so only the first
-        hash after a change is O(number of up servers).
+        keys on.  It is the sorted tuple of down-server indices: the
+        group never changes, so the down-set alone names the active
+        subgroup.  It is built once per topology change (``mark_down``,
+        ``mark_up``, ``load_state``) and is O(number of servers down)
+        to hash and to compare.
         """
-        return self._fingerprint
+        return self._down
 
     def expand(self, active_rates: np.ndarray) -> np.ndarray:
         """Map an active-space rate/weight vector to full-group space.

@@ -25,7 +25,6 @@ from repro.runtime import (
     ResolveController,
     RuntimeConfig,
 )
-from repro.runtime.health import _Fingerprint
 
 
 @pytest.fixture
@@ -90,9 +89,9 @@ class TestCacheAcrossFingerprintChanges:
         assert np.allclose(restored.weights, first.weights)
 
     def test_hits_survive_transitions_and_restores(self, group):
-        # The fingerprint caches its hash; a new fingerprint object for
-        # the same topology (mark_down then mark_up, load_state) and a
-        # plain-tuple key restored from JSON must still hit.
+        # A fingerprint rebuilt for the same topology (mark_down then
+        # mark_up, load_state) and a key restored from JSON must still
+        # hit.
         ctl, health = _controller(group, cache_size=8)
         rate = 3.0
         first = ctl.resolve(rate)
@@ -102,35 +101,33 @@ class TestCacheAcrossFingerprintChanges:
         health.mark_down(2)
         assert not ctl.resolve(rate).cache_hit
         health.mark_up(2)
-        assert health.fingerprint() is not before
+        assert health.fingerprint() == before
         assert ctl.resolve(rate).cache_hit
         health.load_state(health.state_dict())
-        assert health.fingerprint() is not before
+        assert health.fingerprint() == before
         assert ctl.resolve(rate).cache_hit
 
         state = json.loads(json.dumps(ctl.state_dict(lambda r: r.phi)))
         restored, restored_health = _controller(group, cache_size=8)
         restored.load_state(state, lambda phi: first.result)
         assert restored.resolve(rate).cache_hit
-        assert hash(restored_health.fingerprint()) == hash(tuple(before))
+        assert restored_health.fingerprint() == before
 
-    def test_fingerprint_hashes_its_items_once(self):
-        calls = []
-
-        class Item:
-            def __hash__(self):
-                calls.append(1)
-                return 7
-
-        fp = _Fingerprint((1.0, (Item(),)))
-        assert hash(fp) == hash(tuple(fp))
-        assert len(calls) == 2  # once for fp, once for the plain copy
-        for _ in range(5):
-            hash(fp)
-        assert len(calls) == 2
-        assert json.dumps(_Fingerprint((1.0, ((0, 2, 1.5, 0.0),)))) == (
-            "[1.0, [[0, 2, 1.5, 0.0]]]"
-        )
+    def test_fingerprint_is_the_down_set(self, group):
+        # The key is the sorted down-set: its length is the number of
+        # down servers, whatever the group's size, and it is equal (and
+        # hashes equal) after a JSON round trip.
+        health = HealthTracker(group)
+        assert health.fingerprint() == ()
+        health.mark_down(2)
+        health.mark_down(0)
+        fp = health.fingerprint()
+        assert fp == (0, 2) and all(type(i) is int for i in fp)
+        assert json.dumps(fp) == "[0, 2]"
+        restored = tuple(json.loads(json.dumps(fp)))
+        assert restored == fp and hash(restored) == hash(fp)
+        health.mark_up(0)
+        assert health.fingerprint() == (2,)
 
     def test_backend_override_is_part_of_the_key(self, group):
         ctl, _ = _controller(group, cache_size=8)

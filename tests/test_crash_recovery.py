@@ -329,7 +329,32 @@ class TestCheckpoints:
         assert hist.sum == series["sum"]
         assert list(hist.bucket_counts) == series["buckets"]
 
-    @pytest.mark.parametrize("schema", [3, 4])
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(speeds=[1.0, float(np.nextafter(1.5, 2.0))]),
+            dict(sizes=[2, 4]),
+            dict(rbar=1.25),
+            dict(sizes=[2], speeds=[1.0], special_rates=[0.2]),
+        ],
+        ids=["speed-ulp", "size", "rbar", "one-fewer"],
+    )
+    def test_crash_restore_refuses_another_group(self, tmp_path, group, other):
+        d = str(tmp_path / "rec")
+        _run(group, d, seed=2)
+        _, path = list_checkpoints(d)[-1]
+        snapshot = json.load(open(path, encoding="utf-8"))
+        arrays = dict(
+            sizes=[2, 3], speeds=[1.0, 1.5], special_rates=[0.2, 0.3], rbar=1.0
+        )
+        arrays.update(other)
+        runtime = LoadDistributionRuntime(
+            BladeServerGroup.from_arrays(**arrays), 1.0, _config(d), _restore=True
+        )
+        with pytest.raises(RecoveryError, match=r"\(2 servers, rbar=1\.0\)"):
+            CheckpointCodec().restore(runtime, snapshot, path=path)
+
+    @pytest.mark.parametrize("schema", [3, 4, 5])
     def test_old_schema_checkpoint_is_refused(self, tmp_path, group, schema):
         d = str(tmp_path / "rec")
         _run(group, d, seed=2)

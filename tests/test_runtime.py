@@ -284,20 +284,17 @@ class TestHealthTracker:
 
     @staticmethod
     def _fingerprint_from_scratch(health):
-        servers = health.group.servers
-        return (
-            health.group.rbar,
-            tuple(
-                (i, servers[i].size, servers[i].speed, servers[i].special_rate)
-                for i in health.active_indices
-            ),
-        )
+        return tuple(i for i in range(health.group.n) if not health.is_up(i))
 
     def test_fingerprint_is_one_object_between_transitions(self, group):
+        # Reading the key is O(1) between transitions, and it holds only
+        # the down servers.
         health = HealthTracker(group)
         assert health.fingerprint() is health.fingerprint()
+        assert health.fingerprint() == ()
         health.mark_down(1)
         down = health.fingerprint()
+        assert down == (1,)
         assert health.fingerprint() is down
         assert not health.mark_down(1)  # no transition, no rebuild
         assert health.fingerprint() is down
@@ -317,7 +314,7 @@ class TestHealthTracker:
         assert restored.fingerprint() == self._fingerprint_from_scratch(restored)
         for i in range(group.n):
             health.mark_down(i)
-        assert health.fingerprint() == (group.rbar, ())
+        assert health.fingerprint() == tuple(range(group.n))
 
     def test_expand_places_zeros_on_down_servers(self, group):
         health = HealthTracker(group)
@@ -619,7 +616,7 @@ class TestResolveController:
         with pytest.raises(ParameterError):
             ResolveController(health, discipline="priority", seed=seed)
 
-    def test_restored_keys_share_the_live_fingerprint(self, group):
+    def test_restored_keys_equal_the_live_fingerprint(self, group):
         health = HealthTracker(group)
         controller = ResolveController(health)
         lam = 0.4 * group.max_generic_rate
@@ -634,13 +631,14 @@ class TestResolveController:
         restored = ResolveController(fresh_health)
         restored.load_state(state, CheckpointCodec.decode_result)
         live = fresh_health.fingerprint()
-        assert restored._phi_fingerprint is live
+        assert live == (1,)
+        assert restored._phi_fingerprint == live
         fps = [key[0] for key in restored._cache]
-        assert fps[0] == HealthTracker(group).fingerprint() and fps[0] is not live
-        assert fps[1] is live
+        assert fps == [(), live]
+        assert [k[1:] for k in restored._cache] == [k[1:] for k in controller._cache]
         hit = restored.resolve(lam)
         assert hit.cache_hit
-        assert next(reversed(restored._cache))[0] is live
+        assert next(reversed(restored._cache))[0] == live
 
     def test_invalid_params_raise(self, group):
         health = HealthTracker(group)

@@ -1084,13 +1084,49 @@ class TestSeededSetup:
             initial_result=restriction,
         )
         live = restored.health.fingerprint()
-        assert restored.controller._phi_fingerprint is live
+        assert live == ()
+        assert restored.controller._phi_fingerprint == live
         (key, entry), = restored.controller._cache.items()
-        assert key[0] is live
+        assert key[0] == live
         assert key[1] == restriction.total_rate
         assert np.array_equal(entry.generic_rates, restriction.generic_rates)
         assert entry.phi == restriction.phi
         hit = restored.controller.resolve(restriction.total_rate)
         assert hit.cache_hit
         assert np.array_equal(hit.weights, restriction.fractions)
-        assert next(reversed(restored.controller._cache))[0] is live
+        assert next(reversed(restored.controller._cache))[0] == live
+
+    def test_shard_fingerprint_survives_down_up_and_restore(self):
+        import json
+
+        from repro.recovery import CheckpointCodec
+        from repro.runtime import HealthTracker, ResolveController
+
+        g = self._fleet(6_250)
+        health = HealthTracker(g)
+        controller = ResolveController(health)
+        rate = 0.3 * g.max_generic_rate
+        assert not controller.resolve(rate).cache_hit
+        before = health.fingerprint()
+        assert before == ()
+        health.mark_down(7)
+        health.mark_down(4_000)
+        assert health.fingerprint() == (7, 4_000)
+        health.mark_up(7)
+        health.mark_up(4_000)
+        assert health.fingerprint() == before
+        assert controller.resolve(rate).cache_hit
+
+        health.mark_down(7)
+        fresh = HealthTracker(g)
+        fresh.load_state(json.loads(json.dumps(health.state_dict())))
+        assert fresh.fingerprint() == (7,)
+        fresh.mark_up(7)
+        assert fresh.fingerprint() == before
+        restored = ResolveController(fresh)
+        state = controller.state_dict(CheckpointCodec.encode_result)
+        restored.load_state(
+            json.loads(json.dumps(state)), CheckpointCodec.decode_result
+        )
+        assert restored._phi_fingerprint == before
+        assert restored.resolve(rate).cache_hit

@@ -202,6 +202,28 @@ class BladeServerGroup:
         ]
         return cls.from_arrays(sizes, speeds, special, rbar=rbar)
 
+    def subgroup(self, indices) -> "BladeServerGroup":
+        """The servers at ``indices``, in that order, as their own group.
+
+        The parent's servers were validated when it was built, so
+        nothing is re-validated: the subgroup gathers the parent's
+        server tuple and its cached read-only arrays, which equal what
+        the subgroup would compute from its servers.  ``indices`` is a
+        non-empty sequence or integer array of positions.
+        """
+        index = np.asarray(indices, dtype=np.intp)
+        if index.ndim != 1 or index.size == 0:
+            raise ParameterError("a subgroup needs a non-empty 1-D index sequence")
+        servers = self._servers
+        sub = object.__new__(type(self))
+        sub._servers = tuple([servers[i] for i in index.tolist()])
+        sub._rbar = self._rbar
+        arrays = _GroupArrays(*(a[index] for a in self._arrays))
+        for a in arrays:
+            a.setflags(write=False)
+        sub.__dict__["_arrays"] = arrays
+        return sub
+
     # -- container protocol -----------------------------------------------------
 
     def __len__(self) -> int:

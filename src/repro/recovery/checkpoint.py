@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -318,7 +319,9 @@ class CheckpointCodec:
         # Decode each table entry once: owners that shared a result or
         # a weight vector share it again.
         results = [self.decode_result(r) for r in snapshot["results"]]
-        weights = [np.asarray(w, dtype=float) for w in snapshot["weights"]]
+        weights = [np.array(w, dtype=float) for w in snapshot["weights"]]
+        for w in weights:
+            w.setflags(write=False)
         runtime._now = float(snapshot["time"])
         runtime.estimator.load_state(snapshot["estimator"])
         runtime.drift.load_state(snapshot["drift"])
@@ -335,6 +338,7 @@ class CheckpointCodec:
             None if state["weights"] is None else weights[state["weights"]]
         )
         runtime._result = None if state["result"] is None else results[state["result"]]
+        runtime.controller.set_live(runtime._result, runtime._weights)
         from ..runtime.loop import ResolveEvent
 
         runtime.resolve_log = [ResolveEvent(**ev) for ev in state["resolve_log"]]
@@ -378,6 +382,10 @@ class RecoveryManager:
     one journal append) and ``safe_point()`` where a checkpoint is
     consistent; the manager decides *whether* to checkpoint there based
     on how many control decisions have accumulated.
+
+    The runtime owns its manager; the manager holds only a weak
+    reference back, so a finished runtime is freed by reference
+    counting alone instead of waiting for the cyclic collector.
     """
 
     def __init__(
@@ -388,7 +396,7 @@ class RecoveryManager:
         *,
         generation: int = 0,
     ) -> None:
-        self.runtime = runtime
+        self._runtime = weakref.ref(runtime)
         self.config = config
         self.codec = CheckpointCodec()
         self._writer = writer
@@ -441,6 +449,11 @@ class RecoveryManager:
                 "RecoveryConfig.enabled requires a non-empty directory"
             )
         return config.directory
+
+    @property
+    def runtime(self):
+        """The runtime this manager journals and checkpoints."""
+        return self._runtime()
 
     @property
     def directory(self) -> str:

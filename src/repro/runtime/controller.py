@@ -144,6 +144,8 @@ class ResolveController:
         # while the active configuration it was solved on is unchanged.
         self._phi_hint: float | None = None
         self._phi_fingerprint: tuple | None = None
+        # The runtime's live split, (result, weights); see set_live.
+        self._live: tuple | None = None
         if seed is not None:
             self._seed(seed)
 
@@ -308,7 +310,26 @@ class ResolveController:
         self._store(key, result)
 
     def _to_weights(self, result: LoadDistributionResult) -> np.ndarray:
-        return self._health.expand(result.fractions)
+        """``result``'s read-only full-group weights: the live vector
+        itself when ``result`` is the live result, else a new one."""
+        live = self._live
+        if live is not None and live[0] is result:
+            return live[1]
+        weights = self._health.expand(result.fractions)
+        weights.setflags(write=False)
+        return weights
+
+    def set_live(
+        self, result: LoadDistributionResult | None, weights: np.ndarray | None
+    ) -> None:
+        """Record the split the runtime routes on (``None``: no split).
+
+        A later cache hit that returns ``result`` hands back ``weights``
+        itself, not an equal new O(n) vector, so the runtime and the
+        supervisor's pin keep sharing one vector, and a checkpoint
+        writes it once.
+        """
+        self._live = None if result is None else (result, weights)
 
     def prime_phi_hint(self, phi: float) -> None:
         """Seed the warm-start anchor from outside the resolve path.

@@ -155,11 +155,7 @@ class HealthTracker:
         elif not self._down:
             self._active = self._group
         else:
-            servers = self._group.servers
-            self._active = BladeServerGroup(
-                (servers[i] for i in self._active_array.tolist()),
-                rbar=self._group.rbar,
-            )
+            self._active = self._group.subgroup(self._active_array)
 
     def state_dict(self) -> dict:
         """JSON-safe snapshot: the sorted indices of the down servers."""

@@ -335,6 +335,7 @@ class LoadDistributionRuntime:
             previous_shed = self._shed_fraction
             self._weights = weights
             self._result = result
+            self.controller.set_live(result, weights)
             self._shed_fraction = shed
             if not shed_all:
                 # An all-zero weight vector has no router representation

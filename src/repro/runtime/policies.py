@@ -174,10 +174,8 @@ class _AliasPrior:
     def rebuild(self, weights: np.ndarray) -> None:
         support = np.flatnonzero(weights > 0.0)
         w = weights[support]
-        prob, alias = _alias_tables(w / w.sum())
-        self._support = [int(i) for i in support]
-        self._prob = [float(p) for p in prob]
-        self._alias = [int(a) for a in alias]
+        self._prob, self._alias = _alias_tables(w / w.sum())
+        self._support = support.tolist()
         self._size = len(self._support)
 
     def sample(self) -> int:

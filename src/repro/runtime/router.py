@@ -52,22 +52,24 @@ def _normalize(weights: Sequence[float], n_expected: int | None) -> np.ndarray:
     return w / total
 
 
-def _alias_tables(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _alias_tables(weights: np.ndarray) -> tuple[list[float], list[int]]:
     """Walker alias tables for a normalized weight vector.
 
     Returns ``(prob, alias)`` such that sampling slot ``k`` uniformly
     and accepting it with probability ``prob[k]`` (else routing to
     ``alias[k]``) reproduces the weights exactly.  Shared by
     :class:`AliasTableRouter` and the optimal-prior sampler in
-    :mod:`repro.runtime.policies`.
+    :mod:`repro.runtime.policies`.  The tables are Python lists, which
+    the per-pick paths index; Python floats do the same IEEE double
+    arithmetic as numpy's, so the tables equal a numpy construction bit
+    for bit.
     """
     n = weights.size
-    scaled = weights * n
-    prob = np.ones(n)
-    alias = np.arange(n)
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    scaled = scaled.copy()
+    scaled = (weights * n).tolist()
+    prob = [1.0] * n
+    alias = list(range(n))
+    small = [i for i, x in enumerate(scaled) if x < 1.0]
+    large = [i for i, x in enumerate(scaled) if x >= 1.0]
     while small and large:
         s = small.pop()
         g = large.pop()
@@ -161,7 +163,7 @@ class AliasTableRouter:
         k = int(self._rng.integers(self._weights.size))
         if self._rng.random() < self._prob[k]:
             return k
-        return int(self._alias[k])
+        return self._alias[k]
 
     def on_completion(self, server: int) -> None:
         """Static policy: completions carry no information."""

@@ -97,9 +97,10 @@ class Shard:
     members:
         Global server indices owned by this shard, in group order.
     group:
-        The shard's servers materialized as their own
-        :class:`BladeServerGroup` (shares the parent's ``rbar``) — what
-        the shard's dispatcher solves and routes over.
+        The shard's servers as their own :class:`BladeServerGroup`
+        (:meth:`BladeServerGroup.subgroup` of the fleet: the parent's
+        ``rbar`` and a gather of its arrays) — what the shard's
+        dispatcher solves and routes over.
     """
 
     index: int
@@ -232,14 +233,12 @@ def partition_group(
             raise ParameterError(f"custom assignment leaves shards {empty} empty")
     shards = []
     for index, bucket in enumerate(buckets):
-        members = tuple(int(i) for i in np.sort(bucket))
+        bucket = np.sort(bucket)
         shards.append(
             Shard(
                 index=index,
-                members=members,
-                group=BladeServerGroup(
-                    (group.servers[i] for i in members), rbar=group.rbar
-                ),
+                members=tuple(bucket.tolist()),
+                group=group.subgroup(bucket),
             )
         )
     return ShardPlan(group=group, config=config, shards=tuple(shards))

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -153,17 +154,19 @@ class _FleetRateView(RateEstimator):
     fleet scope).  Exists so :meth:`FaultPlan.wrap_estimator` can
     decorate the coordinator's view with bias/noise windows the same
     way it decorates the flat runtime's estimator; dropout windows are
-    inert at this scope.
+    inert at this scope.  The dispatcher owns its view, so the view
+    refers back to it weakly: a finished run is freed by reference
+    counting alone.
     """
 
     def __init__(self, dispatcher: "ShardedDispatcher") -> None:
-        self._dispatcher = dispatcher
+        self._dispatcher = weakref.ref(dispatcher)
 
     def observe(self, now: float) -> None:  # pragma: no cover - trivial
         pass
 
     def estimate(self, now: float) -> float:
-        return self._dispatcher._raw_offered_rate(now)
+        return self._dispatcher()._raw_offered_rate(now)
 
     def reset(self, now: float = 0.0) -> None:  # pragma: no cover - trivial
         pass

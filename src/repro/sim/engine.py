@@ -18,8 +18,9 @@ per-server time integrals are flat lists updated in place, and a
 special-arrival generator exists only for servers with
 ``lambda''_i > 0`` (the spawn positions of the others are reserved, so
 every stream equals an eager spawn of all ``n``).  What remains O(n)
-happens once per run: building the servers, the warm-up reset and the
-final reduction of the integrals.
+happens once per run: the warm-up reset and the final reduction of the
+integrals.  The servers themselves are built lazily, the first time an
+event touches one.
 """
 
 from __future__ import annotations
@@ -137,6 +138,29 @@ class SimulationResult:
     shed_by_class: tuple[int, ...] = ()
     #: Per-priority-class completed-task counts, post-warmup.
     completed_by_class: tuple[int, ...] = ()
+
+
+class _LazyServers(dict):
+    """The engine's :class:`SimServer` per index, built on first access.
+
+    At the optimum most servers of a large group receive no generic load
+    and no special stream, and are never touched by an event: they get
+    no object at all.
+    """
+
+    __slots__ = ("_sizes", "_speeds", "_discipline")
+
+    def __init__(self, sizes: np.ndarray, speeds: np.ndarray, discipline: Discipline):
+        super().__init__()
+        self._sizes = sizes
+        self._speeds = speeds
+        self._discipline = discipline
+
+    def __missing__(self, i: int) -> SimServer:
+        srv = self[i] = SimServer(
+            i, int(self._sizes[i]), float(self._speeds[i]), self._discipline
+        )
+        return srv
 
 
 class GroupSimulation:
@@ -289,11 +313,9 @@ class GroupSimulation:
         self._now = 0.0
         for t, action in controls:
             self.schedule_control(t, action)
-        discipline = Discipline.coerce(config.discipline)
-        self._servers = [
-            SimServer(i, srv.size, srv.speed, discipline)
-            for i, srv in enumerate(group.servers)
-        ]
+        self._servers = _LazyServers(
+            group.sizes, group.speeds, Discipline.coerce(config.discipline)
+        )
         self._task_counter = 0
 
     # -- clock and control plane ----------------------------------------------------

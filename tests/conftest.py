@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro import BladeServerGroup
@@ -44,3 +47,38 @@ def unloaded_group() -> BladeServerGroup:
         speeds=[2.0, 1.5, 1.0],
         rbar=1.0,
     )
+
+
+@pytest.fixture
+def cyclic_garbage(monkeypatch):
+    """Run the test with the cyclic collector off.
+
+    Yields ``(engines, collect)``: ``engines`` fills with a weak
+    reference to every :class:`~repro.sim.engine.GroupSimulation` built
+    during the test, and ``collect()`` returns the objects that only the
+    cyclic collector could free, which reference counting left behind.
+    """
+    from repro.sim.engine import GroupSimulation
+
+    engines: list = []
+    init = GroupSimulation.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(GroupSimulation, "__init__", recording_init)
+
+    def collect() -> list:
+        gc.collect()
+        return list(gc.garbage)
+
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield engines, collect
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()

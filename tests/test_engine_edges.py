@@ -55,7 +55,10 @@ class TestWarmupSemantics:
         )
         busy = []
         controls = [
-            (30.0, lambda sim, now: busy.append([s.busy for s in sim._servers]))
+            (
+                30.0,
+                lambda sim, now: busy.append([sim._servers[i].busy for i in range(4)]),
+            )
         ]
         res = GroupSimulation(g, config, controls=controls).run()
         assert busy == [[2, 3, 2, 8]]
@@ -79,6 +82,28 @@ class TestWarmupSemantics:
             simulate_group(
                 g, 0.001, [1.0], horizon=0.5, warmup=0.0, seed=3
             )
+
+
+class TestLazyServers:
+    def test_engine_builds_only_the_servers_it_touched(self):
+        # Servers 1 and 4 get neither generic load nor a special stream.
+        g = BladeServerGroup.from_arrays(
+            [1, 2, 3, 4, 5], [1.0, 1.1, 1.2, 1.3, 1.4], [0.0, 0.0, 0.3, 0.0, 0.0]
+        )
+        config = SimulationConfig(
+            total_generic_rate=0.8,
+            fractions=(0.5, 0.0, 0.0, 0.5, 0.0),
+            horizon=400.0,
+            warmup=40.0,
+            seed=3,
+        )
+        sim = GroupSimulation(g, config)
+        assert len(sim._servers) == 0
+        res = sim.run()
+        assert sorted(sim._servers) == [0, 2, 3]
+        for i, srv in sim._servers.items():
+            assert (srv.index, srv.size, srv.speed) == (i, g[i].size, g[i].speed)
+        assert res.utilizations[1] == res.utilizations[4] == 0.0
 
 
 class TestTaskLog:

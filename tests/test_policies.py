@@ -221,6 +221,53 @@ class TestJoinIdleQueue:
 # ---------------------------------------------------------------------------
 
 
+def _alias_tables_numpy(weights: np.ndarray):
+    """The numpy form of Walker's construction that ``_alias_tables``
+    replaced, kept as its oracle: same pops, same arithmetic."""
+    n = weights.size
+    scaled = weights * n
+    prob = np.ones(n)
+    alias = np.arange(n)
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    scaled = scaled.copy()
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        (small if scaled[g] < 1.0 else large).append(g)
+    return prob, alias
+
+
+def _alias_cases():
+    rng = np.random.default_rng(20)
+    cases = {"n=1": np.ones(1), "one-hot": np.eye(1, 50, 17)[0]}
+    for k in range(4):
+        cases[f"random-{k}"] = rng.random(int(rng.integers(2, 400)))
+        sparse = rng.random(int(rng.integers(50, 2_000)))
+        sparse[rng.random(sparse.size) < 0.95] = 0.0
+        sparse[int(rng.integers(sparse.size))] = rng.random() + 0.1
+        cases[f"sparse-{k}"] = sparse
+    return cases
+
+
+class TestAliasTables:
+    @pytest.mark.parametrize("name", sorted(_alias_cases()))
+    def test_alias_tables_match_the_numpy_form(self, name):
+        from repro.runtime.router import _alias_tables
+
+        w = _alias_cases()[name]
+        w = w / w.sum()
+        prob, alias = _alias_tables(w)
+        ref_prob, ref_alias = _alias_tables_numpy(w)
+        prob, alias = np.asarray(prob), np.asarray(alias)
+        assert prob.dtype == ref_prob.dtype and alias.dtype == ref_alias.dtype
+        assert prob.tobytes() == ref_prob.tobytes()
+        assert np.array_equal(alias, ref_alias)
+
+
 class TestRouterRegistry:
     def test_builtins_registered(self):
         names = set(available_routers())

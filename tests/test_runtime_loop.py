@@ -294,3 +294,41 @@ class TestOfferedEstimate:
 
         runtime = LoadDistributionRuntime(group, 5.0, _config())
         assert not hasattr(runtime, "_offered_estimate")
+
+
+class TestCallLifetime:
+    """A finished call is freed by reference counting alone."""
+
+    def test_flat_call_with_recovery_leaves_no_cyclic_garbage(
+        self, tmp_path, cyclic_garbage
+    ):
+        import weakref
+
+        from repro.recovery import RecoveryConfig
+
+        engines, collect = cyclic_garbage
+        # 20 servers: the Newton backend.  The kkt backend's scipy
+        # ``brentq`` leaves a small cycle of its own wrapper per root.
+        g = BladeServerGroup.with_special_fraction(
+            sizes=[2, 4, 6, 8, 10] * 4,
+            speeds=[1.6, 1.4, 1.2, 1.1, 1.0] * 4,
+            fraction=0.3,
+        )
+        config = _config(
+            resolve_period=20.0,
+            recovery=RecoveryConfig(enabled=True, directory=str(tmp_path)),
+        )
+        out = run_closed_loop(
+            g,
+            RateTrace.constant(0.5 * g.max_generic_rate),
+            config,
+            horizon=100.0,
+            seed=3,
+            failures=[(40.0, 2, "down"), (70.0, 2, "up")],
+        )
+        assert out.metrics.counters.failures == 1
+        refs = [weakref.ref(out.runtime), *engines]
+        assert len(refs) == 2
+        del out
+        assert [r() for r in refs] == [None, None]
+        assert collect() == []

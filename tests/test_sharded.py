@@ -407,6 +407,44 @@ class TestShardedClosedLoop:
         assert report.sim.generic_completed > 0
 
 
+class TestShardedCallLifetime:
+    """A finished sharded call is freed by reference counting alone."""
+
+    def test_sharded_call_leaves_no_cyclic_garbage(self, tmp_path, cyclic_garbage):
+        import weakref
+
+        engines, collect = cyclic_garbage
+        g = BladeServerGroup(
+            [
+                BladeServer(size=1 + (i % 16), speed=0.6 + 0.01 * (i % 120))
+                for i in range(2_000)
+            ]
+        )
+        config = RuntimeConfig(
+            router="alias",
+            resolve_period=3.0,
+            recovery=RecoveryConfig(enabled=True, directory=str(tmp_path)),
+        )
+        report = run_sharded_closed_loop(
+            g,
+            RateTrace.step(150.0, at=4.0, to=225.0),
+            config,
+            ShardConfig(shards=8),
+            horizon=8.0,
+            warmup=0.8,
+            seed=7,
+            rebalance_period=3.0,
+            collect_tasks=False,
+        )
+        assert report.rebalances == 2
+        refs = [weakref.ref(report.dispatcher), *engines]
+        refs += [weakref.ref(runtime) for runtime in report.runtimes]
+        assert len(refs) == 10
+        del report
+        assert [r() for r in refs] == [None] * 10
+        assert collect() == []
+
+
 class TestShardSeeds:
     def test_deterministic_and_distinct_within_base(self):
         a = shard_seeds(42, 6)
@@ -1095,6 +1133,48 @@ class TestSeededSetup:
         assert hit.cache_hit
         assert np.array_equal(hit.weights, restriction.fractions)
         assert next(reversed(restored.controller._cache))[0] == live
+
+    def test_shard_checkpoint_writes_the_live_weights_once(self, tmp_path):
+        import json
+
+        from repro.recovery import list_checkpoints
+        from repro.recovery.resume import restore_runtime
+        from repro.runtime.loop import LoadDistributionRuntime
+
+        g = self._fleet(2_000)
+        plan = partition_group(g, ShardConfig(shards=8))
+        lam0 = 6.0
+        shard = plan.shards[5]
+        restriction = bootstrap_restriction(
+            solve_sharded(g, lam0, plan=plan), shard, lam0
+        )
+        rate = restriction.total_rate
+        config = RuntimeConfig(
+            recovery=RecoveryConfig(enabled=True, directory=str(tmp_path))
+        )
+        runtime = LoadDistributionRuntime(
+            shard.group, rate, config, initial_result=restriction
+        )
+        live = runtime._weights
+        assert not live.flags.writeable
+        for t in (1.0, 2.0):
+            runtime._resolve(t, rate, reason="periodic", force=False)
+        assert [e.cache_hit for e in runtime.resolve_log] == [True] * 3
+        assert runtime._weights is live
+        assert runtime.supervisor._last_good.weights is live
+        runtime._recovery.finalize()
+        _, path = list_checkpoints(str(tmp_path))[-1]
+        with open(path, encoding="utf-8") as fh:
+            snapshot = json.load(fh)
+        assert len(snapshot["weights"]) == 1
+
+        restored, _ = restore_runtime(
+            shard.group, config, initial_rate=rate, initial_result=restriction
+        )
+        assert np.array_equal(restored._weights, live)
+        assert restored.supervisor._last_good.weights is restored._weights
+        hit = restored.controller.resolve(rate)
+        assert hit.cache_hit and hit.weights is restored._weights
 
     def test_shard_fingerprint_survives_down_up_and_restore(self):
         import json

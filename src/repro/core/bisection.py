@@ -336,17 +336,8 @@ def calculate_t_prime(
         rates = rates_for(phi)
     hard_caps = (1.0 - STABILITY_MARGIN) * group.spare_capacities
     rates = settle_residual(rates, total_rate, hard_caps)
-    t_prime = group.mean_response_time(rates, disc)
-    return LoadDistributionResult(
-        generic_rates=rates,
-        mean_response_time=t_prime,
-        phi=phi,
-        discipline=disc,
-        method="paper-bisection",
-        utilizations=group.utilizations(rates),
-        per_server_response_times=group.per_server_response_times(rates, disc),
-        iterations=iterations,
-        converged=True,
+    return LoadDistributionResult.from_rates(
+        group, rates, phi, disc, "paper-bisection", iterations=iterations
     )
 
 

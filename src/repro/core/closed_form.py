@@ -52,25 +52,6 @@ def _require_single_blade(group: BladeServerGroup) -> None:
         )
 
 
-def _package(
-    group: BladeServerGroup,
-    rates: np.ndarray,
-    phi: float,
-    disc: Discipline,
-    method: str,
-) -> LoadDistributionResult:
-    return LoadDistributionResult(
-        generic_rates=rates,
-        mean_response_time=group.mean_response_time(rates, disc),
-        phi=phi,
-        discipline=disc,
-        method=method,
-        utilizations=group.utilizations(rates),
-        per_server_response_times=group.per_server_response_times(rates, disc),
-        converged=True,
-    )
-
-
 def solve_closed_form_fcfs(
     group: BladeServerGroup, total_rate: float
 ) -> LoadDistributionResult:
@@ -97,7 +78,7 @@ def solve_closed_form_fcfs(
         if np.all(lam >= 0.0):
             rates = np.zeros(group.n)
             rates[active] = lam
-            return _package(
+            return LoadDistributionResult.from_rates(
                 group, rates, phi, Discipline.FCFS, "closed-form-theorem1"
             )
         # Active-set step: park the worst offender at zero and re-solve.
@@ -154,7 +135,7 @@ def solve_closed_form_priority(
         if np.all(lam >= 0.0):
             rates = np.zeros(group.n)
             rates[active] = lam
-            return _package(
+            return LoadDistributionResult.from_rates(
                 group, rates, phi, Discipline.PRIORITY, "closed-form-theorem3"
             )
         idx_active = np.flatnonzero(active)

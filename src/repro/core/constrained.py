@@ -138,15 +138,8 @@ def solve_capped(
             else:
                 rates[free] += residual / int(free.sum())
             rates = np.minimum(rates, bounds)
-    return LoadDistributionResult(
-        generic_rates=rates,
-        mean_response_time=group.mean_response_time(rates, disc),
-        phi=phi,
-        discipline=disc,
-        method="kkt-capped",
-        utilizations=group.utilizations(rates),
-        per_server_response_times=group.per_server_response_times(rates, disc),
-        iterations=iterations,
-        converged=True,
-        metadata={"caps": caps_arr.tolist(), "capped": (rates >= bounds * (1 - 1e-9)).tolist()},
+    capped = (rates >= bounds * (1 - 1e-9)).tolist()
+    return LoadDistributionResult.from_rates(
+        group, rates, phi, disc, "kkt-capped",
+        iterations=iterations, metadata={"caps": caps_arr.tolist(), "capped": capped},
     )

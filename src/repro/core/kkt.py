@@ -213,14 +213,6 @@ def solve_kkt(
                 rates = scaled
             else:
                 rates = settle_residual(rates, total_rate, hard_caps)
-    return LoadDistributionResult(
-        generic_rates=rates,
-        mean_response_time=group.mean_response_time(rates, disc),
-        phi=phi,
-        discipline=disc,
-        method="kkt-brentq",
-        utilizations=group.utilizations(rates),
-        per_server_response_times=group.per_server_response_times(rates, disc),
-        iterations=iterations,
-        converged=True,
+    return LoadDistributionResult.from_rates(
+        group, rates, phi, disc, "kkt-brentq", iterations=iterations
     )

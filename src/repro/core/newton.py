@@ -713,15 +713,7 @@ def solve_newton(
         tol,
         phi_hint,
     )
-    return LoadDistributionResult(
-        generic_rates=rates,
-        mean_response_time=group.mean_response_time(rates, disc),
-        phi=phi,
-        discipline=disc,
-        method="newton-dual-ascent",
-        utilizations=group.utilizations(rates),
-        per_server_response_times=group.per_server_response_times(rates, disc),
-        iterations=iterations,
-        converged=True,
-        metadata={"inner_sweeps": inner_sweeps},
+    return LoadDistributionResult.from_rates(
+        group, rates, phi, disc, "newton-dual-ascent",
+        iterations=iterations, metadata={"inner_sweeps": inner_sweeps},
     )

@@ -92,16 +92,10 @@ def solve_nlp(
         raise ConvergenceError(
             f"SLSQP failed: {res.message}", best=rates
         )
-    return LoadDistributionResult(
-        generic_rates=rates,
-        mean_response_time=group.mean_response_time(rates, disc),
-        # At the optimum every loaded server sits at the common marginal
-        # phi while unloaded servers sit above it, so phi is the minimum.
-        phi=float(np.min(gradient(group, rates, disc))),
-        discipline=disc,
-        method="slsqp",
-        utilizations=group.utilizations(rates),
-        per_server_response_times=group.per_server_response_times(rates, disc),
-        iterations=int(res.nit),
-        converged=bool(res.success),
+    # At the optimum every loaded server sits at the common marginal
+    # phi while unloaded servers sit above it, so phi is the minimum.
+    phi = float(np.min(gradient(group, rates, disc)))
+    return LoadDistributionResult.from_rates(
+        group, rates, phi, disc, "slsqp",
+        iterations=int(res.nit), converged=bool(res.success),
     )

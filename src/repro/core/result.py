@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .response import Discipline
+
+if TYPE_CHECKING:
+    from .server import BladeServerGroup
 
 __all__ = ["LoadDistributionResult"]
 
@@ -15,12 +20,18 @@ __all__ = ["LoadDistributionResult"]
 class LoadDistributionResult:
     """Outcome of an optimal (or heuristic) load-distribution computation.
 
+    Build one with :meth:`from_rates`: the split ``lambda'_i`` and the
+    multiplier ``phi`` describe the optimum, and everything else is a
+    function of the split on the group it was computed over.
+
     Attributes
     ----------
     generic_rates:
         Per-server generic arrival rates ``lambda'_i`` (length ``n``).
     mean_response_time:
-        The achieved mean generic-task response time ``T'``.
+        The achieved mean generic-task response time ``T'``: the scalar
+        sum :meth:`BladeServerGroup.mean_response_time
+        <repro.core.server.BladeServerGroup.mean_response_time>`.
     phi:
         The Lagrange multiplier at the optimum — the common marginal
         cost ``dT'/d lambda'_i`` of every server carrying load.  ``nan``
@@ -29,18 +40,24 @@ class LoadDistributionResult:
         The queueing discipline the solution was computed for.
     method:
         Name of the solver/policy that produced the result.
-    utilizations:
-        Per-server total utilizations ``rho_i`` at the solution.
-    per_server_response_times:
-        Per-server generic response times ``T'_i`` at the solution,
-        assembled in one vector pass
-        (:func:`~repro.core.response.generic_response_time_vec`).  They
-        agree with the scalar ``T'_i`` that ``mean_response_time`` sums
-        to a few ulps, not bit for bit.
+    group:
+        The group the split was computed over: the whole group, a
+        shard, or the active subgroup of the servers that are up.  It
+        takes no part in equality and is left out of the repr.
     iterations:
         Iteration count of the outer solver loop, when meaningful.
     converged:
         Whether the solver met its tolerance.
+    utilizations:
+        Per-server total utilizations ``rho_i`` at the solution
+        (computed from :attr:`group` on first read, then cached).
+    per_server_response_times:
+        Per-server generic response times ``T'_i`` at the solution,
+        computed from :attr:`group` on first read, then cached, in one
+        vector pass
+        (:func:`~repro.core.response.generic_response_time_vec`).  They
+        agree with the scalar ``T'_i`` that ``mean_response_time`` sums
+        to a few ulps, not bit for bit.
     """
 
     generic_rates: np.ndarray
@@ -48,8 +65,7 @@ class LoadDistributionResult:
     phi: float
     discipline: Discipline
     method: str
-    utilizations: np.ndarray
-    per_server_response_times: np.ndarray
+    group: BladeServerGroup = field(compare=False, repr=False)
     iterations: int = 0
     converged: bool = True
     metadata: dict = field(default_factory=dict)
@@ -64,14 +80,26 @@ class LoadDistributionResult:
         object.__setattr__(
             self, "generic_rates", np.asarray(self.generic_rates, dtype=float)
         )
-        object.__setattr__(
-            self, "utilizations", np.asarray(self.utilizations, dtype=float)
+
+    @staticmethod
+    def from_rates(
+        group: BladeServerGroup, rates, phi: float, disc: Discipline, method: str,
+        *, iterations: int = 0, converged: bool = True, metadata: dict | None = None,
+    ) -> "LoadDistributionResult":
+        """The split ``rates`` of ``group`` under ``disc``: ``T'`` is
+        computed here, ``rho_i`` and ``T'_i`` on first read."""
+        return LoadDistributionResult(
+            rates, group.mean_response_time(rates, disc), phi, disc, method, group,
+            iterations, converged, {} if metadata is None else metadata,
         )
-        object.__setattr__(
-            self,
-            "per_server_response_times",
-            np.asarray(self.per_server_response_times, dtype=float),
-        )
+
+    @cached_property
+    def utilizations(self) -> np.ndarray:
+        return self.group.utilizations(self.generic_rates)
+
+    @cached_property
+    def per_server_response_times(self) -> np.ndarray:
+        return self.group.per_server_response_times(self.generic_rates, self.discipline)
 
     @property
     def n(self) -> int:

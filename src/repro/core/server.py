@@ -209,13 +209,16 @@ class BladeServerGroup:
         nothing is re-validated: the subgroup gathers the parent's
         server tuple and its cached read-only arrays, which equal what
         the subgroup would compute from its servers.  ``indices`` is a
-        non-empty sequence or integer array of positions.
+        non-empty sequence or integer array of positions.  The subgroup
+        keeps them as ``_parent_index``, so a checkpoint can name it by
+        the parent's positions it lacks.
         """
         index = np.asarray(indices, dtype=np.intp)
         if index.ndim != 1 or index.size == 0:
             raise ParameterError("a subgroup needs a non-empty 1-D index sequence")
         servers = self._servers
         sub = object.__new__(type(self))
+        sub._parent_index = index
         sub._servers = tuple([servers[i] for i in index.tolist()])
         sub._rbar = self._rbar
         arrays = _GroupArrays(*(a[index] for a in self._arrays))

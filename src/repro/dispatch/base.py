@@ -61,14 +61,8 @@ class LoadDistributionPolicy(abc.ABC):
             self.rates(group, total_rate, disc), dtype=float
         )
         self._validate_rates(group, total_rate, rates)
-        return LoadDistributionResult(
-            generic_rates=rates,
-            mean_response_time=group.mean_response_time(rates, disc),
-            phi=float("nan"),
-            discipline=disc,
-            method=self.name,
-            utilizations=group.utilizations(rates),
-            per_server_response_times=group.per_server_response_times(rates, disc),
+        return LoadDistributionResult.from_rates(
+            group, rates, float("nan"), disc, self.name
         )
 
     def _validate_rates(

@@ -280,16 +280,8 @@ def proportional_split(
     """
     spare = group.spare_capacities
     rates = admitted_rate * spare / spare.sum()
-    return LoadDistributionResult(
-        generic_rates=rates,
-        mean_response_time=group.mean_response_time(rates, discipline),
-        phi=math.nan,
-        discipline=discipline,
-        method="proportional",
-        utilizations=group.utilizations(rates),
-        per_server_response_times=group.per_server_response_times(rates, discipline),
-        converged=True,
-        metadata={"heuristic": True},
+    return LoadDistributionResult.from_rates(
+        group, rates, math.nan, discipline, "proportional", metadata={"heuristic": True}
     )
 
 

@@ -67,7 +67,10 @@ __all__ = [
 #: ``weights`` tables and is referred to by index; health fingerprints
 #: and the health section are down-sets; ``group`` is a digest.
 #: Journals are unchanged.
-SCHEMA_VERSION = 6
+#: v7: a result stores its split and its group's ``down``-set within the
+#: runtime's group, not ``T'``, ``rho_i`` or ``T'_i``, which restore
+#: recomputes.  Journals are unchanged.
+SCHEMA_VERSION = 7
 
 _CHECKPOINT_PREFIX = "checkpoint-"
 _CHECKPOINT_SUFFIX = ".json"
@@ -183,39 +186,50 @@ class CheckpointCodec:
     # -- result serialization ------------------------------------------------------
 
     @staticmethod
-    def encode_result(result: LoadDistributionResult) -> dict:
-        """JSON-safe dict form of a solver result (lossless for floats;
-        metadata arrays come back as lists)."""
+    def encode_result(result: LoadDistributionResult, group: BladeServerGroup) -> dict:
+        """JSON-safe dict form of a result solved over ``group`` or one of
+        its subgroups (lossless for floats; metadata arrays come back as
+        lists).  ``down`` lists the positions of ``group`` that the
+        result's group lacks; ``T'``, ``rho_i`` and ``T'_i`` follow from
+        the split on that group and are not stored."""
+        sub = result.group
         return {
             "generic_rates": result.generic_rates.tolist(),
-            "mean_response_time": result.mean_response_time,
             "phi": result.phi,
             "discipline": result.discipline.value,
             "method": result.method,
-            "utilizations": result.utilizations.tolist(),
-            "per_server_response_times": result.per_server_response_times.tolist(),
+            "down": []
+            if sub.n == group.n
+            else np.setdiff1d(np.arange(group.n), sub._parent_index).tolist(),
             "iterations": int(result.iterations),
             "converged": bool(result.converged),
             "metadata": _json_safe(result.metadata),
         }
 
     @staticmethod
-    def decode_result(encoded: dict) -> LoadDistributionResult:
-        """Inverse of :meth:`encode_result`."""
-        return LoadDistributionResult(
-            generic_rates=np.asarray(encoded["generic_rates"], dtype=float),
-            mean_response_time=encoded["mean_response_time"],
-            phi=encoded["phi"],
-            discipline=Discipline(encoded["discipline"]),
-            method=encoded["method"],
-            utilizations=np.asarray(encoded["utilizations"], dtype=float),
-            per_server_response_times=np.asarray(
-                encoded["per_server_response_times"], dtype=float
-            ),
-            iterations=int(encoded["iterations"]),
-            converged=bool(encoded["converged"]),
-            metadata=dict(encoded["metadata"]),
-        )
+    def result_decoder(group: BladeServerGroup):
+        """``decode(encoded)``, the inverse of :meth:`encode_result` over
+        ``group``.  Each distinct down-set's subgroup is built once, by
+        the health tracker's ``subgroup`` call, and ``T'`` is recomputed
+        on it."""
+        groups = {(): group}
+
+        def decode(encoded: dict) -> LoadDistributionResult:
+            down = tuple(encoded["down"])
+            if down not in groups:
+                groups[down] = group.subgroup(np.setdiff1d(np.arange(group.n), down))
+            return LoadDistributionResult.from_rates(
+                groups[down],
+                np.asarray(encoded["generic_rates"], dtype=float),
+                encoded["phi"],
+                Discipline(encoded["discipline"]),
+                encoded["method"],
+                iterations=int(encoded["iterations"]),
+                converged=bool(encoded["converged"]),
+                metadata=dict(encoded["metadata"]),
+            )
+
+        return decode
 
     @staticmethod
     def _group_digest(group: BladeServerGroup) -> dict:
@@ -241,7 +255,8 @@ class CheckpointCodec:
         """
         results: list = []
         weights: list = []
-        result_ref = _interner(results, self.encode_result)
+        group = runtime.health.group
+        result_ref = _interner(results, lambda r: self.encode_result(r, group))
         weights_ref = _interner(weights, np.ndarray.tolist)
         router = runtime._router
         snapshot = {
@@ -249,7 +264,7 @@ class CheckpointCodec:
             "time": runtime._now,
             "journal_seq": journal_seq,
             "config": runtime.config.to_dict(),
-            "group": self._group_digest(runtime.health.group),
+            "group": self._group_digest(group),
             "estimator": runtime.estimator.state_dict(),
             "drift": runtime.drift.state_dict(),
             "controller": runtime.controller.state_dict(result_ref),
@@ -318,7 +333,8 @@ class CheckpointCodec:
 
         # Decode each table entry once: owners that shared a result or
         # a weight vector share it again.
-        results = [self.decode_result(r) for r in snapshot["results"]]
+        decode = self.result_decoder(runtime.health.group)
+        results = [decode(r) for r in snapshot["results"]]
         weights = [np.array(w, dtype=float) for w in snapshot["weights"]]
         for w in weights:
             w.setflags(write=False)

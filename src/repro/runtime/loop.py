@@ -731,7 +731,7 @@ def run_closed_loop(
             # calling this function.
     sim_config = SimulationConfig(
         total_generic_rate=trace.initial_rate,
-        fractions=tuple(runtime.current_weights),
+        fractions=runtime._weights,
         discipline=Discipline.coerce(config.discipline),
         horizon=horizon,
         warmup=warmup,

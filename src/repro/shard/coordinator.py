@@ -184,18 +184,9 @@ class ShardCoordinator:
         loads = np.bincount(
             self.plan.assignment, weights=full_rates, minlength=self.plan.n_shards
         )
-        return LoadDistributionResult(
-            generic_rates=full_rates,
-            mean_response_time=group.mean_response_time(full_rates, self.disc),
-            phi=phi,
-            discipline=self.disc,
-            method="sharded-hierarchical",
-            utilizations=group.utilizations(full_rates),
-            per_server_response_times=group.per_server_response_times(
-                full_rates, self.disc
-            ),
+        return LoadDistributionResult.from_rates(
+            group, full_rates, phi, self.disc, "sharded-hierarchical",
             iterations=iterations,
-            converged=True,
             metadata={
                 "shards": self.plan.n_shards,
                 "strategy": self.plan.config.strategy,

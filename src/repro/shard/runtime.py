@@ -113,15 +113,9 @@ def bootstrap_restriction(
     load = float(rates.sum())
     if load <= 0.0:
         return None
-    group, disc = shard.group, bootstrap.discipline
-    return LoadDistributionResult(
-        generic_rates=rates,
-        mean_response_time=group.mean_response_time(rates, disc),
-        phi=bootstrap.phi * total_rate / load,
-        discipline=disc,
-        method=bootstrap.method,
-        utilizations=group.utilizations(rates),
-        per_server_response_times=group.per_server_response_times(rates, disc),
+    phi = bootstrap.phi * total_rate / load
+    return LoadDistributionResult.from_rates(
+        shard.group, rates, phi, bootstrap.discipline, bootstrap.method
     )
 
 
@@ -801,7 +795,7 @@ def run_sharded_closed_loop(
 
     sim_config = SimulationConfig(
         total_generic_rate=trace.initial_rate,
-        fractions=tuple(dispatcher.current_weights()),
+        fractions=dispatcher.current_weights(),
         discipline=Discipline.coerce(config.discipline),
         horizon=horizon,
         warmup=warmup,

@@ -56,7 +56,8 @@ class SimulationConfig:
         Group-wide generic arrival rate ``lambda'``.
     fractions:
         Routing probabilities ``lambda'_i / lambda'``; the engine's own
-        router requires a distribution (finite, ``>= 0``, sum 1).
+        router requires a distribution (finite, ``>= 0``, sum 1).  With
+        a dispatcher only the length is checked.
     discipline:
         Queueing discipline for special tasks.
     horizon:
@@ -69,7 +70,7 @@ class SimulationConfig:
     """
 
     total_generic_rate: float
-    fractions: tuple[float, ...]
+    fractions: tuple[float, ...] | np.ndarray
     discipline: Discipline = Discipline.FCFS
     horizon: float = 50_000.0
     warmup: float = 5_000.0

@@ -92,6 +92,51 @@ def _run(group, directory: str | None, *, seed: int, crash_at: float | None = No
     )
 
 
+#: Values a v7 checkpoint recomputes from a result's split instead of storing.
+DERIVED_KEYS = {"mean_response_time", "utilizations", "per_server_response_times"}
+
+
+def assert_same_result(a, b) -> None:
+    """``a`` and ``b`` agree field for field, bit for bit, derived arrays
+    included, and were computed over groups of the same servers."""
+    for name in ("generic_rates", "utilizations", "per_server_response_times"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    for name in ("mean_response_time", "phi"):
+        assert float(getattr(a, name)).hex() == float(getattr(b, name)).hex(), name
+    assert (a.discipline, a.method, a.iterations, a.converged, a.metadata) == (
+        b.discipline,
+        b.method,
+        b.iterations,
+        b.converged,
+        b.metadata,
+    )
+    assert a.group.servers == b.group.servers
+    assert a.group.rbar == b.group.rbar
+
+
+def assert_restored_equals_live(live, restored) -> None:
+    """A restored runtime's control-plane state equals the live one's:
+    the LRU (keys, order and results), the live split and the pin."""
+    assert restored.health.fingerprint() == live.health.fingerprint()
+    assert list(restored.controller._cache) == list(live.controller._cache)
+    for a, b in zip(live.controller._cache.values(), restored.controller._cache.values()):
+        assert_same_result(a, b)
+    assert (restored.controller._phi_hint, restored.controller._phi_fingerprint) == (
+        live.controller._phi_hint,
+        live.controller._phi_fingerprint,
+    )
+    assert_same_result(live._result, restored._result)
+    assert restored._weights.tobytes() == live._weights.tobytes()
+    pin, restored_pin = live.supervisor._last_good, restored.supervisor._last_good
+    assert pin is not None and restored_pin is not None
+    assert_same_result(pin.result, restored_pin.result)
+    assert restored_pin.weights.tobytes() == pin.weights.tobytes()
+    assert (restored_pin.fingerprint, restored_pin.solved_rate) == (
+        pin.fingerprint,
+        pin.solved_rate,
+    )
+
+
 def _generic_tasks(result):
     return [
         (t.arrival_time, t.server_index)
@@ -329,6 +374,16 @@ class TestCheckpoints:
         assert hist.sum == series["sum"]
         assert list(hist.bucket_counts) == series["buckets"]
 
+    def test_checkpoint_results_store_no_derived_values(self, tmp_path, group):
+        d = str(tmp_path / "rec")
+        _run(group, d, seed=2)
+        _, path = list_checkpoints(d)[-1]
+        snapshot = json.load(open(path, encoding="utf-8"))
+        assert snapshot["results"]
+        for entry in snapshot["results"]:
+            assert not DERIVED_KEYS & set(entry)
+            assert entry["down"] == []
+
     @pytest.mark.parametrize(
         "other",
         [
@@ -354,7 +409,7 @@ class TestCheckpoints:
         with pytest.raises(RecoveryError, match=r"\(2 servers, rbar=1\.0\)"):
             CheckpointCodec().restore(runtime, snapshot, path=path)
 
-    @pytest.mark.parametrize("schema", [3, 4, 5])
+    @pytest.mark.parametrize("schema", [3, 4, 5, 6])
     def test_old_schema_checkpoint_is_refused(self, tmp_path, group, schema):
         d = str(tmp_path / "rec")
         _run(group, d, seed=2)
@@ -406,6 +461,53 @@ class TestCheckpoints:
                 seed=0,
                 fault_plan=_crash_plan(100.0, seed=0),
             )
+
+
+class TestCrashRestoreEqualsLive:
+    """A checkpoint stores each result's split; restore recomputes ``T'``,
+    ``rho_i`` and ``T'_i`` on the same group, bit for bit."""
+
+    RATE = 12.0
+    DOWN = 2
+
+    def _live(self, paper_group):
+        """The Table 1 group with server ``DOWN`` failed: the LRU holds
+        a full-group and an active-subgroup solve, and the live split is
+        the supervisor's pinned proportional fallback, which is in no
+        LRU entry."""
+        runtime = LoadDistributionRuntime(paper_group, self.RATE, RuntimeConfig())
+        runtime.server_down(self.DOWN, now=1.0)
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("solver down")
+
+        runtime.controller._solve_fn = failing
+        runtime._resolve(2.0, 0.8 * self.RATE, reason="periodic", force=True)
+        assert runtime._result.method == "proportional"
+        assert runtime.supervisor._last_good.result is runtime._result
+        assert runtime._result.group is runtime.health.active_group()
+        assert [key[0] for key in runtime.controller._cache] == [(), (self.DOWN,)]
+        return runtime
+
+    def test_crash_restore_equals_live_runtime_bit_for_bit(self, paper_group):
+        live = self._live(paper_group)
+        snapshot = json.loads(json.dumps(CheckpointCodec().encode(live, 0)))
+        assert [r["down"] for r in snapshot["results"]] == [[], [self.DOWN], [self.DOWN]]
+        for entry in snapshot["results"]:
+            assert not DERIVED_KEYS & set(entry)
+
+        restored = LoadDistributionRuntime(
+            paper_group, self.RATE, RuntimeConfig(), _restore=True
+        )
+        CheckpointCodec().restore(restored, snapshot)
+        assert_restored_equals_live(live, restored)
+        # Each down-set's subgroup is built once and shared, as the
+        # live results share the health tracker's active subgroup.
+        full, degraded = restored.controller._cache.values()
+        assert full.group is paper_group
+        assert degraded.group is restored._result.group
+        assert degraded.group.n == paper_group.n - 1
+        assert restored.supervisor._last_good.result is restored._result
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ from repro.core.exceptions import (
 )
 from repro.core.response import Discipline
 from repro.core.result import LoadDistributionResult
+from repro.core.server import BladeServerGroup
+
+
+def small_group(n: int) -> BladeServerGroup:
+    return BladeServerGroup.from_arrays(sizes=[4] * n, speeds=[2.0] * n)
 
 
 def make_result(rates=(1.0, 2.0, 3.0)) -> LoadDistributionResult:
@@ -25,8 +30,7 @@ def make_result(rates=(1.0, 2.0, 3.0)) -> LoadDistributionResult:
         phi=0.7,
         discipline=Discipline.FCFS,
         method="test",
-        utilizations=np.full(rates.size, 0.5),
-        per_server_response_times=np.full(rates.size, 1.2),
+        group=small_group(rates.size),
         iterations=12,
     )
 
@@ -50,8 +54,7 @@ class TestLoadDistributionResult:
             phi=0.5,
             discipline=Discipline.PRIORITY,
             method="x",
-            utilizations=[0.5, 0.5],
-            per_server_response_times=[1.0, 1.0],
+            group=small_group(2),
         )
         assert isinstance(res.generic_rates, np.ndarray)
         assert res.generic_rates.dtype == float

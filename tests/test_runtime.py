@@ -623,13 +623,15 @@ class TestResolveController:
         controller.resolve(lam)
         health.mark_down(1)
         controller.resolve(lam)
-        encode = CheckpointCodec.encode_result
+        def encode(result):
+            return CheckpointCodec.encode_result(result, group)
+
         state = json.loads(json.dumps(controller.state_dict(encode)))
 
         fresh_health = HealthTracker(group)
         fresh_health.load_state(json.loads(json.dumps(health.state_dict())))
         restored = ResolveController(fresh_health)
-        restored.load_state(state, CheckpointCodec.decode_result)
+        restored.load_state(state, CheckpointCodec.result_decoder(group))
         live = fresh_health.fingerprint()
         assert live == (1,)
         assert restored._phi_fingerprint == live

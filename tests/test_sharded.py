@@ -1176,6 +1176,41 @@ class TestSeededSetup:
         hit = restored.controller.resolve(rate)
         assert hit.cache_hit and hit.weights is restored._weights
 
+    def test_shard_restore_equals_live_runtime_bit_for_bit(self):
+        import json
+
+        from repro.recovery import CheckpointCodec
+        from repro.runtime.loop import LoadDistributionRuntime
+        from tests.test_crash_recovery import DERIVED_KEYS, assert_restored_equals_live
+
+        g = self._fleet(400)
+        plan = partition_group(g, ShardConfig(shards=4))
+        lam0 = 0.3 * g.max_generic_rate
+        shard = plan.shards[1]
+        restriction = bootstrap_restriction(
+            solve_sharded(g, lam0, plan=plan), shard, lam0
+        )
+        rate = restriction.total_rate
+        live = LoadDistributionRuntime(
+            shard.group, rate, RuntimeConfig(), initial_result=restriction
+        )
+        down = int(np.flatnonzero(restriction.generic_rates)[0])
+        live.server_down(down, now=1.0)
+        snapshot = json.loads(json.dumps(CheckpointCodec().encode(live, 0)))
+        assert [r["down"] for r in snapshot["results"]] == [[], [down]]
+        for entry in snapshot["results"]:
+            assert not DERIVED_KEYS & set(entry)
+
+        restored = LoadDistributionRuntime(
+            shard.group, rate, RuntimeConfig(), initial_result=restriction, _restore=True
+        )
+        CheckpointCodec().restore(restored, snapshot)
+        assert_restored_equals_live(live, restored)
+        seed, degraded = restored.controller._cache.values()
+        assert seed.group is shard.group
+        assert degraded.group is restored._result.group
+        assert degraded.group.n == shard.group.n - 1
+
     def test_shard_fingerprint_survives_down_up_and_restore(self):
         import json
 
@@ -1204,9 +1239,9 @@ class TestSeededSetup:
         fresh.mark_up(7)
         assert fresh.fingerprint() == before
         restored = ResolveController(fresh)
-        state = controller.state_dict(CheckpointCodec.encode_result)
+        state = controller.state_dict(lambda r: CheckpointCodec.encode_result(r, g))
         restored.load_state(
-            json.loads(json.dumps(state)), CheckpointCodec.decode_result
+            json.loads(json.dumps(state)), CheckpointCodec.result_decoder(g)
         )
         assert restored._phi_fingerprint == before
         assert restored.resolve(rate).cache_hit

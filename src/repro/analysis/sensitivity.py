@@ -17,10 +17,10 @@ Provided sensitivities (per unit of the parameter):
 
 * ``d T'* / d lambda''_j`` — analytic, via the chain rule through
   ``rho_j`` (and ``rho''_j`` under priority).
-* ``d T'* / d s_j`` — central finite difference of the fixed-rate
-  objective (the service-time and utilization channels partially
-  cancel; FD is the robust choice).
-* ``d T'* / d rbar`` — same technique, all servers at once.
+* ``d T'* / d s_j`` — analytic, :func:`~repro.core.objective.speed_gradient`
+  (``s_j`` moves ``xbar_j``, ``rho_j`` and ``rho''_j`` together).
+* ``d T'* / d rbar`` — from the speed sensitivities: ``rbar`` scales
+  every ``xbar_j = rbar/s_j``, so ``dT'*/drbar = -sum_j s_j dT'*/ds_j / rbar``.
 """
 
 from __future__ import annotations
@@ -29,18 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.exceptions import ParameterError
-from ..core.response import (
-    Discipline,
-    d_generic_response_time_drho,
-    generic_response_time,
-)
+from ..core.objective import speed_gradient
+from ..core.response import Discipline, d_generic_response_time_drho
 from ..core.server import BladeServerGroup
 from ..core.solvers import dispatch
 
 __all__ = ["SensitivityReport", "optimal_value_sensitivities"]
-
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,34 +64,6 @@ class SensitivityReport:
             )
         lines.append(f"  dT'/drbar = {self.d_rbar:+.6f}")
         return "\n".join(lines)
-
-
-def _fixed_rate_objective(
-    sizes,
-    speeds,
-    specials,
-    rbar: float,
-    rates: np.ndarray,
-    discipline: Discipline,
-) -> float:
-    """The group objective with the rate vector frozen (envelope inner)."""
-    total = float(rates.sum())
-    t = 0.0
-    for i in range(len(sizes)):
-        if rates[i] == 0.0:
-            continue
-        t += (
-            rates[i]
-            / total
-            * generic_response_time(
-                int(sizes[i]),
-                rbar / float(speeds[i]),
-                float(rates[i]),
-                float(specials[i]),
-                discipline,
-            )
-        )
-    return t
 
 
 def optimal_value_sensitivities(
@@ -146,29 +112,12 @@ def optimal_value_sensitivities(
             dt += (t_j - xbar) / (1.0 - rho_s) * drho
         d_special[j] = float(weights[j]) * dt
 
-    # Finite-difference envelopes for speeds and rbar.
-    def obj(speeds_vec, rbar_val):
-        return _fixed_rate_objective(
-            sizes, speeds_vec, specials, rbar_val, rates, disc
-        )
-
-    d_speed = np.zeros(group.n)
-    for j in range(group.n):
-        if rates[j] == 0.0:
-            continue
-        h = _FD_STEP * max(1.0, float(speeds[j]))
-        up = speeds.copy().astype(float)
-        dn = up.copy()
-        up[j] += h
-        dn[j] -= h
-        d_speed[j] = (obj(up, rbar) - obj(dn, rbar)) / (2.0 * h)
-
-    h = _FD_STEP * max(1.0, rbar)
-    d_rbar = (obj(speeds, rbar + h) - obj(speeds, rbar - h)) / (2.0 * h)
+    d_speed = speed_gradient(group, rates, disc)
+    d_rbar = -float((speeds * d_speed).sum()) / rbar
 
     return SensitivityReport(
         t_prime=res.mean_response_time,
         d_special=d_special,
         d_speed=d_speed,
-        d_rbar=float(d_rbar),
+        d_rbar=d_rbar,
     )

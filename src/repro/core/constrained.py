@@ -17,10 +17,14 @@ value
 where ``g_i`` is the marginal cost; servers pinned at their cap carry a
 marginal *below* the common ``phi`` (they would love more traffic but
 may not take it), mirroring the servers pinned at zero whose marginal
-sits above ``phi``.  The group total remains continuous and
-non-decreasing in ``phi``, so the same outer Brent search applies.  An
-instance is feasible iff ``total_rate <= sum_i min(c_i, spare_i)``
-(strictly below in the spare-capacity component).
+sits above ``phi``.  That is exactly the water-filling the Newton dual
+ascent (:func:`~repro.core.newton.dual_ascent`) already solves against
+the spare capacities, so a capped solve is one dual ascent with each
+server's bound lowered to ``min(c_i, spare_i)``.  With every cap
+infinite it is the uncapped :func:`~repro.core.newton.solve_newton`
+solve, bit for bit.  An instance is feasible iff ``total_rate`` is at
+most the sum of the rate ceilings the ascent pins servers at
+(:func:`~repro.core.newton.rate_ceilings`).
 """
 
 from __future__ import annotations
@@ -28,19 +32,15 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .exceptions import ConvergenceError, InfeasibleError, ParameterError
-from .kkt import rate_for_multiplier
-from .objective import marginal_cost
+from .bisection import DEFAULT_TOL
+from .exceptions import InfeasibleError, ParameterError
+from .newton import dual_ascent, rate_ceilings
 from .response import Discipline
 from .result import LoadDistributionResult
 from .server import BladeServerGroup
 
 __all__ = ["solve_capped"]
-
-_STABILITY_MARGIN = 1e-13
-_MAX_DOUBLINGS = 4000
 
 
 def solve_capped(
@@ -48,7 +48,6 @@ def solve_capped(
     total_rate: float,
     caps: Sequence[float],
     discipline: Discipline | str = Discipline.FCFS,
-    xtol: float = 1e-13,
 ) -> LoadDistributionResult:
     """Minimize ``T'`` subject to ``sum = total_rate`` and ``rate_i <= caps_i``.
 
@@ -74,71 +73,28 @@ def solve_capped(
         )
     if np.any(np.isnan(caps_arr)) or np.any(caps_arr < 0.0):
         raise ParameterError("caps must be >= 0 (inf allowed, nan not)")
-    # Effective bound: the cap, the stability boundary, whichever binds.
-    spare = group.spare_capacities * (1.0 - _STABILITY_MARGIN)
-    bounds = np.minimum(caps_arr, spare)
-    if float(bounds.sum()) < total_rate:
+    # Effective bound: the cap or the spare capacity, whichever binds.
+    # The ascent pins a server at its ceiling, just below that bound.
+    bounds = np.minimum(caps_arr, group.spare_capacities)
+    ceilings = rate_ceilings(bounds)
+    if float(ceilings.sum()) < total_rate:
         raise InfeasibleError(
-            f"caps admit at most {bounds.sum():.6g} < requested "
+            f"caps admit at most {ceilings.sum():.6g} < requested "
             f"{total_rate:.6g}",
             total_rate=total_rate,
-            capacity=float(bounds.sum()),
+            capacity=float(ceilings.sum()),
         )
-    ms = group.sizes
-    xbars = group.xbars
-    specials = group.special_rates
-    n = group.n
-
-    def rates_for(phi: float) -> np.ndarray:
-        out = np.empty(n)
-        for i in range(n):
-            r = rate_for_multiplier(
-                int(ms[i]),
-                float(xbars[i]),
-                float(specials[i]),
-                total_rate,
-                phi,
-                disc,
-            )
-            out[i] = min(r, bounds[i])
-        return out
-
-    def excess(phi: float) -> float:
-        return float(rates_for(phi).sum()) - total_rate
-
-    phi_lo = min(
-        marginal_cost(
-            int(ms[i]), float(xbars[i]), float(specials[i]), 0.0, total_rate, disc
-        )
-        for i in range(n)
+    rates, phi, iterations, _ = dual_ascent(
+        group.sizes.astype(np.int64),
+        group.xbars.astype(float),
+        group.special_rates.astype(float),
+        bounds,
+        total_rate,
+        disc,
+        DEFAULT_TOL,
+        None,
     )
-    phi_hi = max(phi_lo, 1e-9)
-    iterations = 0
-    for _ in range(_MAX_DOUBLINGS):
-        iterations += 1
-        if excess(phi_hi) >= 0.0:
-            break
-        phi_hi *= 2.0
-    else:
-        raise ConvergenceError("solve_capped could not bracket the multiplier")
-
-    phi = float(
-        brentq(excess, phi_lo * (1.0 - 1e-12), phi_hi, xtol=xtol, rtol=8.9e-16)
-    )
-    rates = rates_for(phi)
-    # Distribute the Brent residual over the *unclamped* servers only —
-    # capped servers must stay exactly at their caps.
-    residual = total_rate - float(rates.sum())
-    if abs(residual) > 0.0:
-        free = rates < bounds * (1.0 - 1e-12)
-        if free.any():
-            weights = rates[free]
-            if weights.sum() > 0.0:
-                rates[free] += residual * weights / weights.sum()
-            else:
-                rates[free] += residual / int(free.sum())
-            rates = np.minimum(rates, bounds)
-    capped = (rates >= bounds * (1 - 1e-9)).tolist()
+    capped = (rates >= ceilings * (1 - 1e-9)).tolist()
     return LoadDistributionResult.from_rates(
         group, rates, phi, disc, "kkt-capped",
         iterations=iterations, metadata={"caps": caps_arr.tolist(), "capped": capped},

@@ -200,11 +200,10 @@ def solve_kkt(
     else:
         # Close the epsilon budget slack.  The proportional rescale is
         # kept bit-exact with the historical behaviour whenever it is
-        # safe — downstream optimizers (the DVFS outer loop in power.py
-        # runs SLSQP at ftol = 1e-10) differentiate this output and are
-        # sensitive to last-ulp arithmetic differences — and only when
-        # it would push a cap-pinned server past (1 - margin) * cap
-        # does the cap-respecting projection take over.
+        # safe, so seeded splits and the T' values compared against them
+        # keep their bits, and only when it would push a cap-pinned
+        # server past (1 - margin) * cap does the cap-respecting
+        # projection take over.
         s = float(rates.sum())
         if s > 0.0:
             hard_caps = (1.0 - _STABILITY_MARGIN) * group.spare_capacities

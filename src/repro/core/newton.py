@@ -420,7 +420,7 @@ def _inner_newton(
 
 
 def rate_ceilings(caps: np.ndarray) -> np.ndarray:
-    """Per-server rate ceilings: the spare capacities less the stability margin."""
+    """Per-server rate ceilings: the bounds ``caps`` less the stability margin."""
     return np.where(caps > 0.0, (1.0 - STABILITY_MARGIN) * caps, 0.0)
 
 
@@ -463,9 +463,11 @@ def dual_ascent(
     """The damped-Newton dual ascent on raw per-server arrays.
 
     ``ms``, ``xbars``, ``specials`` and ``caps`` are the servers' sizes,
-    mean service times, special-task rates and spare capacities; the
-    caller has already checked that ``total_rate`` is feasible for
-    them.  ``thresholds`` is :func:`threshold_numerators` of the same
+    mean service times, special-task rates and spare capacities, or
+    smaller per-server bounds (:func:`~repro.core.constrained.solve_capped`).
+    A rate pinned at its bound sits at :func:`rate_ceilings`, just below
+    it.  The caller has already checked that ``total_rate`` is feasible
+    for them.  ``thresholds`` is :func:`threshold_numerators` of the same
     servers, for a caller that solves them at many rates; ``None``
     computes it (two batched kernel passes).  Returns ``(rates, phi,
     iterations, inner_sweeps)`` with the rates settled onto the budget.

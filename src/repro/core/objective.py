@@ -51,6 +51,7 @@ __all__ = [
     "objective",
     "gradient",
     "server_marginal",
+    "speed_gradient",
 ]
 
 
@@ -161,4 +162,45 @@ def gradient(
             total,
             discipline,
         )
+    return out
+
+
+def speed_gradient(
+    group: BladeServerGroup,
+    generic_rates: Sequence[float],
+    discipline: Discipline | str = Discipline.FCFS,
+) -> np.ndarray:
+    """Partial derivatives ``[dT'/ds_1, ..., dT'/ds_n]`` at fixed rates.
+
+    ``s_j`` enters ``T'_j`` through ``xbar_j = rbar/s_j`` and so
+    through ``rho_j`` and ``rho''_j``, which scale with it:
+
+    .. math::
+
+        \\frac{\\partial T'}{\\partial s_j}
+          = -\\frac{\\lambda'_j}{\\lambda' s_j}
+            \\left(T'_j + \\rho_j \\frac{\\partial T'_j}{\\partial \\rho_j}
+            + \\rho''_j \\frac{T'_j - \\bar{x}_j}{1 - \\rho''_j}\\right),
+
+    with the last term under the priority discipline only.  At the
+    optimal rates this is the gradient of the optimal ``T'*`` (envelope
+    theorem).  A parked server gets 0.
+    """
+    disc = Discipline.coerce(discipline)
+    rates = np.asarray(generic_rates, dtype=float)
+    total = float(rates.sum())
+    out = np.zeros(group.n)
+    for j, srv in enumerate(group.servers):
+        rate = float(rates[j])
+        if rate == 0.0:
+            continue
+        m = srv.size
+        xbar = srv.xbar(group.rbar)
+        rho = (rate + srv.special_rate) * xbar / m
+        rho_s = srv.special_rate * xbar / m
+        t = generic_response_time_rho(m, xbar, rho, rho_s, disc)
+        scale = t + rho * d_generic_response_time_drho(m, xbar, rho, rho_s, disc)
+        if disc is Discipline.PRIORITY:
+            scale += rho_s * (t - xbar) / (1.0 - rho_s)
+        out[j] = -rate / (total * srv.speed) * scale
     return out

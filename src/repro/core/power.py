@@ -16,7 +16,11 @@ Formulation::
 
 The inner problem is the paper's optimization (solved by the KKT
 backend); the outer problem over speeds is smooth and is handed to
-scipy's SLSQP with the power constraint.  Special-task rates are held
+scipy's SLSQP with the power constraint.  By the envelope theorem the
+gradient of the optimal ``T'`` over the speeds is the partial gradient
+with the optimal rates frozen
+(:func:`~repro.core.objective.speed_gradient`), so SLSQP gets an exact
+gradient from the inner solve it already made.  Special-task rates are held
 *fixed* while speeds vary (the dedicated workload does not change just
 because the blades clock differently), so speeding a server up both
 shortens its service times and frees capacity eaten by its preload.
@@ -33,6 +37,7 @@ from scipy.optimize import minimize
 
 from .exceptions import ConvergenceError, InfeasibleError, ParameterError
 from .kkt import solve_kkt
+from .objective import speed_gradient
 from .response import Discipline
 from .result import LoadDistributionResult
 from .server import BladeServerGroup
@@ -120,27 +125,42 @@ def optimize_speeds_under_power(
             capacity=power_budget,
         )
 
-    def make_group(speeds: np.ndarray) -> BladeServerGroup:
-        return BladeServerGroup.from_arrays(
-            sizes_arr.tolist(), speeds.tolist(), specials.tolist(), rbar=rbar
-        )
+    # SLSQP asks for the objective and its gradient at the same speeds;
+    # a one-entry memo lets both read one inner solve.
+    memo: dict[bytes, tuple[BladeServerGroup, LoadDistributionResult | None]] = {}
 
-    def inner(speeds: np.ndarray) -> LoadDistributionResult | None:
-        group = make_group(np.maximum(speeds, s_min))
-        if total_rate >= group.max_generic_rate:
-            return None
-        return solve_kkt(group, total_rate, discipline)
+    def inner(speeds: np.ndarray):
+        """The group at ``speeds`` and its optimal split (``None`` if saturated)."""
+        key = speeds.tobytes()
+        if key not in memo:
+            group = BladeServerGroup.from_arrays(
+                sizes_arr.tolist(),
+                np.maximum(speeds, s_min).tolist(),
+                specials.tolist(),
+                rbar=rbar,
+            )
+            saturated = total_rate >= group.max_generic_rate
+            res = None if saturated else solve_kkt(group, total_rate, discipline)
+            memo.clear()
+            memo[key] = (group, res)
+        return memo[key]
 
     # Penalized objective: infeasible speed vectors (group saturated)
     # get a large, smoothly increasing penalty to push SLSQP back in.
     def objective(speeds: np.ndarray) -> float:
-        res = inner(speeds)
+        _, res = inner(speeds)
         if res is None:
             group_cap = float(
                 (sizes_arr * np.maximum(speeds, s_min) / rbar - specials).sum()
             )
             return 1e3 + 1e2 * max(0.0, total_rate - group_cap)
         return res.mean_response_time
+
+    def jac(speeds: np.ndarray) -> np.ndarray:
+        group, res = inner(speeds)
+        if res is None:
+            return -1e2 * sizes_arr / rbar
+        return speed_gradient(group, res.generic_rates, discipline)
 
     # Start: spend the budget proportionally to blade count (uniform
     # speeds) — always inside the power constraint.
@@ -151,6 +171,7 @@ def optimize_speeds_under_power(
         objective,
         x0,
         method="SLSQP",
+        jac=jac,
         bounds=[(float(lo), None) for lo in s_min],
         constraints=[
             {
@@ -159,10 +180,13 @@ def optimize_speeds_under_power(
                 "jac": lambda s: -(alpha * sizes_arr * s ** (alpha - 1.0)),
             }
         ],
-        options={"maxiter": max_iter, "ftol": 1e-10},
+        # Below ftol = 1e-9 SLSQP asks for decreases under the rounding
+        # of T' and can stop at the optimum on a "positive directional
+        # derivative for linesearch" (exit 8).
+        options={"maxiter": max_iter, "ftol": 1e-9},
     )
     speeds = np.maximum(res.x, s_min)
-    final = inner(speeds)
+    _, final = inner(speeds)
     if final is None or not res.success:
         raise ConvergenceError(
             f"outer speed optimization failed: {res.message}", best=speeds

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.bisection import DEFAULT_TOL
 from repro.core.constrained import solve_capped
 from repro.core.exceptions import InfeasibleError, ParameterError
 from repro.core.kkt import solve_kkt
+from repro.core.newton import rate_ceilings, solve_newton
 from repro.core.objective import gradient
 
 
@@ -25,6 +27,18 @@ class TestEquivalenceWithoutCaps:
             free.mean_response_time, rel=1e-9
         )
         assert np.allclose(capped.generic_rates, free.generic_rates, atol=1e-6)
+
+    @pytest.mark.parametrize("disc", ["fcfs", "priority"])
+    @pytest.mark.parametrize("load", [0.3, 0.7])
+    def test_infinite_caps_are_the_newton_solve_bit_for_bit(
+        self, paper_group, disc, load
+    ):
+        lam = load * paper_group.max_generic_rate
+        capped = solve_capped(paper_group, lam, [INF] * 7, disc)
+        free = solve_newton(paper_group, lam, disc)
+        assert np.array_equal(capped.generic_rates, free.generic_rates)
+        assert capped.phi == free.phi
+        assert capped.mean_response_time == free.mean_response_time
 
     def test_loose_caps_match_unconstrained(self, paper_group):
         lam = 0.5 * paper_group.max_generic_rate
@@ -119,3 +133,27 @@ class TestValidation:
             solve_capped(
                 paper_group, paper_group.max_generic_rate, [INF] * 7
             )
+
+
+class TestCapacityEdge:
+    """The feasibility check and the solver agree on the last admissible rate."""
+
+    CAPS = [3.0] * 7
+
+    def edge(self, group):
+        bounds = np.minimum(self.CAPS, group.spare_capacities)
+        return float(rate_ceilings(bounds).sum())
+
+    @pytest.mark.parametrize("disc", ["fcfs", "priority"])
+    def test_sum_of_ceilings_is_met(self, paper_group, disc):
+        lam = self.edge(paper_group)
+        res = solve_capped(paper_group, lam, self.CAPS, disc)
+        assert abs(res.total_rate - lam) <= DEFAULT_TOL * max(1.0, lam)
+        assert np.all(res.generic_rates <= self.CAPS)
+        assert all(res.metadata["capped"])
+
+    @pytest.mark.parametrize("disc", ["fcfs", "priority"])
+    def test_one_ulp_beyond_is_infeasible(self, paper_group, disc):
+        lam = float(np.nextafter(self.edge(paper_group), INF))
+        with pytest.raises(InfeasibleError):
+            solve_capped(paper_group, lam, self.CAPS, disc)

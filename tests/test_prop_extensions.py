@@ -3,7 +3,8 @@
 Sweeps random parameter space for: response-time distribution laws
 (valid CDFs, quantile/cdf inversion, mean identities), the K-class
 priority recursion (ordering, conservation, FCFS blend), and the capped
-solver (budget, caps respected, degradation vs. unconstrained).
+solver under both disciplines (budget, caps respected, degradation vs.
+unconstrained, KKT complementary slackness).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.core.exceptions import InfeasibleError
 from repro.core.kkt import solve_kkt
 from repro.core.multiclass import MulticlassStation
 from repro.core.mmm import MMmQueue
+from repro.core.objective import gradient
 from repro.core.server import BladeServerGroup
 
 sizes = st.integers(min_value=1, max_value=40)
@@ -152,15 +154,26 @@ class TestCappedProperties:
     @settings(max_examples=40, deadline=None)
     def test_budget_caps_and_dominance(self, inst):
         group, lam, caps = inst
-        try:
-            res = solve_capped(group, lam, caps)
-        except InfeasibleError:
-            # Legitimately infeasible when the caps cannot absorb lam.
-            bounds = np.minimum(caps, group.spare_capacities)
-            assert bounds.sum() < lam * (1 + 1e-9)
-            return
-        assert np.isclose(res.total_rate, lam, rtol=1e-8)
-        assert np.all(res.generic_rates <= caps * (1 + 1e-8) + 1e-12)
-        assert np.all(res.utilizations < 1.0)
-        free = solve_kkt(group, lam)
-        assert res.mean_response_time >= free.mean_response_time - 1e-9
+        for disc in ("fcfs", "priority"):
+            try:
+                res = solve_capped(group, lam, caps, disc)
+            except InfeasibleError:
+                # Legitimately infeasible when the caps cannot absorb lam.
+                bounds = np.minimum(caps, group.spare_capacities)
+                assert bounds.sum() < lam * (1 + 1e-9)
+                continue
+            assert np.isclose(res.total_rate, lam, rtol=1e-8)
+            assert np.all(res.generic_rates <= caps * (1 + 1e-8) + 1e-12)
+            assert np.all(res.utilizations < 1.0)
+            free = solve_kkt(group, lam, disc)
+            assert res.mean_response_time >= free.mean_response_time - 1e-9
+            # KKT certificate: complementary slackness at the multiplier.
+            rates = res.generic_rates
+            g = gradient(group, rates, disc)
+            phi = res.phi
+            capped = rates >= caps * (1 - 1e-9)
+            parked = rates == 0.0
+            interior = ~capped & ~parked
+            assert np.allclose(g[interior], phi, rtol=1e-7)  # free share phi
+            assert np.all(g[capped] <= phi * (1 + 1e-9))  # capped want more
+            assert np.all(g[parked] >= phi * (1 - 1e-9))  # parked want none
